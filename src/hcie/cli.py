@@ -40,10 +40,6 @@ def _load_private(path) -> rsa.RsaPrivateKey:
     return key
 
 
-def _public_half(priv: rsa.RsaPrivateKey) -> rsa.RsaPublicKey:
-    return rsa.RsaPublicKey(priv.n, priv.e)
-
-
 def cmd_keygen(args) -> int:
     pub, priv = rsa.keygen(args.bits, insecure=args.insecure)
     pub_path = Path(f"{args.out}.pub")
@@ -61,7 +57,7 @@ def cmd_seal(args) -> int:
     recipient = _load_public(args.to)
     sender = _load_private(args.sender)
     env = envelope_mod.seal(
-        plaintext, recipient, sender, _public_half(sender), dim_log2=args.dim_log2
+        plaintext, recipient, sender, sender.public(), dim_log2=args.dim_log2
     )
     Path(args.out).write_bytes(envelope_mod.serialize(env))
     print(f"sealed {len(plaintext)} bytes into {args.out}")
@@ -102,7 +98,7 @@ def cmd_send(args) -> int:
     recipient = _load_public(args.to)
     sender = _load_private(args.sender)
     ack = transfer.send_file(
-        args.host, args.port, args.file, recipient, sender, _public_half(sender)
+        args.host, args.port, args.file, recipient, sender, sender.public()
     )
     print(f"transferred {args.file}; server digest {ack.digest.hex()}")
     return 0

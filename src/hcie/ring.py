@@ -191,9 +191,11 @@ def invert(a: RingMatrix, ring: RingParams) -> RingMatrix:
     """Inverse matrix b with a*b = b*a = I mod 2^m.
 
     Small matrices (dim <= 4) go through the adjugate: inv(a) =
-    det(a)^-1 * adj(a).  Larger ones use Gauss-Jordan elimination where each
-    pivot column is searched for an odd entry; an invertible matrix always
-    has one, because its reduction mod 2 has full rank.
+    det(a)^-1 * adj(a), written out as det^-1 * [[d, -b], [-c, a]] for a
+    2x2 matrix, the Hill key factor size.  Larger ones use Gauss-Jordan
+    elimination where each pivot column is searched for an odd entry; an
+    invertible matrix always has one, because its reduction mod 2 has full
+    rank.
     """
     if a.dim <= 4:
         return _invert_adjugate(a, ring)
@@ -209,6 +211,11 @@ def _invert_adjugate(a: RingMatrix, ring: RingParams) -> RingMatrix:
     mask = ring.mask
     if n == 1:
         return RingMatrix(((d_inv,),))
+    if n == 2:
+        (a0, b0), (c0, d0) = a.rows
+        return RingMatrix(
+            ((d_inv * d0 & mask, -d_inv * b0 & mask), (-d_inv * c0 & mask, d_inv * a0 & mask))
+        )
     # adj(a)[i][j] = (-1)^(i+j) * minor(j, i), computed exactly then reduced
     rows = []
     for i in range(n):

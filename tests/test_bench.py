@@ -58,6 +58,39 @@ class TestVerification:
         )
         assert med >= 0
 
+    def test_identical_repetitions_are_decrypted_once(self):
+        payload = b"z" * 64
+        decrypted = []
+        bench._timed_runs(
+            encrypt=lambda: payload,
+            verify=lambda produced: decrypted.append(produced) or produced,
+            payload=payload,
+            repetitions=3,
+        )
+        assert decrypted == [payload]
+
+    def test_changed_repetition_is_decrypted(self):
+        outputs = iter([b"good", b"evil"])
+        with pytest.raises(BenchVerificationError):
+            bench._timed_runs(
+                encrypt=lambda: next(outputs),
+                verify=lambda produced: produced if produced == b"good" else b"????",
+                payload=b"good",
+                repetitions=2,
+            )
+
+    def test_rsa_only_repetitions_repeat_their_chunks(self, monkeypatch):
+        decrypt = bench._rsa_decrypt_chunks
+        calls = []
+
+        def counting(priv, chunks):
+            calls.append(chunks)
+            return decrypt(priv, chunks)
+
+        monkeypatch.setattr(bench, "_rsa_decrypt_chunks", counting)
+        bench.run_bench([2048], random.Random(43), repetitions=3, rsa_bits=512)
+        assert len(calls) == 1
+
     def test_rsa_chunking_round_trips(self, recipient_pair):
         pub, priv = recipient_pair
         payload = bench.payload_for(2000)

@@ -1,3 +1,4 @@
+import argparse
 import importlib.metadata
 import os
 import re
@@ -162,6 +163,14 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
         assert "keygen" in capsys.readouterr().out
+
+    def test_subcommand_set(self):
+        # help text names "seal" in other lines too, so pin the names themselves
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(sub.choices) == {
+            "keygen", "seal", "open", "sign", "verify", "send", "recv", "bench",
+        }
 
 
 class TestBenchCommand:

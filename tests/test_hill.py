@@ -1,13 +1,16 @@
+import hashlib
 import random
 from functools import reduce
 
+import numpy as np
 import pytest
 
-from hcie import hill, ring
+from hcie import envelope, hill, ring
 from hcie.errors import (
     DimensionError,
     InconsistentPairsError,
     InsufficientPlaintextError,
+    NotInvertibleError,
     PaddingError,
 )
 from hcie.hill import HillKey
@@ -252,6 +255,84 @@ class TestStream:
         key = identity_key(4)
         with pytest.raises(PaddingError):
             hill.decrypt_stream(key, bytes(3) + b"\x09")
+
+
+def dense(matrix, data):
+    """Reference path: every block times the dense matrix, in uint8."""
+    blocks = np.frombuffer(data, dtype=np.uint8).reshape(-1, matrix.dim)
+    return (blocks @ np.array(matrix.rows, dtype=np.uint8).T).tobytes()
+
+
+def assert_matches_dense(key, payload):
+    n = key.dim
+    ct = hill.encrypt_stream(key, payload)
+    assert ct == dense(key.forward, hill.pad(payload, n))
+    assert dense(key.inverse, ct) == hill.pad(payload, n)
+    assert hill.decrypt_stream(key, ct) == payload
+
+
+class TestKernel:
+    """The factor-by-factor stream kernel against the dense matrices."""
+
+    @pytest.mark.parametrize("s", range(hill.MIN_DIM_LOG2, hill.MAX_DIM_LOG2 + 1))
+    def test_short_lengths_match_dense(self, s):
+        rng = random.Random(100 + s)
+        key = hill.derive_key(rng.randbytes(32), s)
+        for length in range(0, 3 * key.dim + 2):
+            assert_matches_dense(key, rng.randbytes(length))
+
+    @pytest.mark.parametrize("s", range(hill.MIN_DIM_LOG2, hill.MAX_DIM_LOG2 + 1))
+    def test_chunk_boundaries_match_dense(self, s):
+        rng = random.Random(200 + s)
+        key = hill.derive_key(rng.randbytes(32), s)
+        n = key.dim
+        chunk = hill.CHUNK_BYTES // n * n
+        for length in (chunk - n - 1, chunk - n, chunk - 1, chunk, chunk + n, 2 * chunk + n - 1):
+            assert_matches_dense(key, rng.randbytes(length))
+
+    @pytest.mark.parametrize("n", [2, 3, 16])
+    def test_ad_hoc_key_matches_dense(self, n):
+        rng = random.Random(300 + n)
+        key = HillKey.from_matrix(ring.random_invertible(n, BYTE_RING, rng))
+        assert key.forward != RingMatrix.identity(n)
+        for length in (0, 1, n, 5 * n + 1, hill.CHUNK_BYTES // n * n + 1):
+            assert_matches_dense(key, rng.randbytes(length))
+
+    def test_singular_matrix_rejected(self):
+        with pytest.raises(NotInvertibleError):
+            HillKey.from_matrix(M([[2, 4], [1, 3]]))
+
+    def test_dense_matrices_built_only_on_demand(self):
+        key = hill.derive_key(SEED, 4)
+        hill.decrypt_stream(key, hill.encrypt_stream(key, b"lazy"))
+        assert "forward" not in vars(key) and "inverse" not in vars(key)
+        assert key.forward is key.forward
+        assert "inverse" not in vars(key)
+        assert key.inverse is key.inverse
+
+    def test_inverse_factors_invert_factors(self):
+        key = hill.derive_key(SEED, 6)
+        for f, g in zip(key.factors, key.inverse_factors):
+            assert ring.mat_mul(f, g, BYTE_RING) == RingMatrix.identity(2)
+
+
+#: SHA-256 of serialize(seal(...)) for a 300,001-byte payload, computed with
+#: the dense-matrix stream path; the kernel must reproduce the same bytes.
+GOLDEN_ENVELOPES = {
+    1: "bd90f2868bc0de698d20e1a629b28d79eca07f99c10ad464179fb342d1d5164c",
+    4: "ea069506d6b313b676492b342e2fa3029be4fedc2c7f269a0fcb857494733dcb",
+    6: "16cb31189d332f4739ba87edb0665d8f871009c0833f752a55046f849ce386c5",
+}
+
+
+@pytest.mark.parametrize("s", sorted(GOLDEN_ENVELOPES))
+def test_golden_envelope(s, recipient_pair, sender_pair):
+    pub, priv = recipient_pair
+    spub, spriv = sender_pair
+    payload = random.Random(f"golden:{s}").randbytes(300_001)
+    blob = envelope.serialize(envelope.seal(payload, pub, spriv, spub, random.Random(s), s))
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_ENVELOPES[s]
+    assert envelope.open_envelope(envelope.parse(blob), priv, spub) == payload
 
 
 class TestKnownPlaintextAttack:
