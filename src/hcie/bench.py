@@ -10,9 +10,9 @@ The RSA-only baseline is what the hybrid construction exists to avoid:
 v1.5-padding every 117-byte chunk into its own 1024-bit modular
 exponentiation.  Its padding fill comes from a generator seeded by the
 payload size, fresh in each repetition, so every repetition produces the
-same chunks and only the first needs decrypting.  Verification decrypts
-with CRT (and gmpy2 when installed) purely to keep the harness quick; the
-timed region always runs the package's own primitives.
+same chunks and only the first needs decrypting.  Chunks are built and
+parsed by ``rsa.encrypt_v15``/``rsa.decrypt_v15``, the same code that
+encapsulates an envelope's seed.
 """
 
 from __future__ import annotations
@@ -26,16 +26,7 @@ from typing import Callable, List, Optional, Sequence
 
 from . import envelope as envelope_mod
 from . import hill, rsa
-from .errors import BenchVerificationError
-
-try:
-    import gmpy2
-
-    def _powmod(base: int, exp: int, mod: int) -> int:
-        return int(gmpy2.powmod(base, exp, mod))
-
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _powmod = pow
+from .errors import BenchVerificationError, DecapsulationError
 
 SCHEMES = ("hill_only", "rsa_only", "hybrid")
 CSV_HEADER = ["scheme", "payload_bytes", "elapsed_seconds", "throughput_mb_s"]
@@ -66,39 +57,15 @@ def _rsa_chunk_len(pub: rsa.RsaPublicKey) -> int:
 def _rsa_encrypt_chunks(
     pub: rsa.RsaPublicKey, payload: bytes, rng: Optional[random.Random]
 ) -> List[bytes]:
-    k = pub.byte_length()
     step = _rsa_chunk_len(pub)
-    out = []
-    for i in range(0, len(payload), step):
-        chunk = payload[i : i + step]
-        fill_len = k - 3 - len(chunk)
-        fill = rsa._nonzero_bytes(fill_len, rng)
-        block = b"\x00\x02" + fill + b"\x00" + chunk
-        x = int.from_bytes(block, "big")
-        out.append(pow(x, pub.e, pub.n).to_bytes(k, "big"))
-    return out
+    return [rsa.encrypt_v15(pub, payload[i : i + step], rng) for i in range(0, len(payload), step)]
 
 
 def _rsa_decrypt_chunks(priv: rsa.RsaPrivateKey, chunks: Sequence[bytes]) -> bytes:
-    # verification only; CRT halves the exponent work
-    dp = priv.d % (priv.p - 1)
-    dq = priv.d % (priv.q - 1)
-    q_inv = pow(priv.q, -1, priv.p)
-    k = priv.byte_length()
-    parts = []
-    for ct in chunks:
-        c = int.from_bytes(ct, "big")
-        m1 = _powmod(c % priv.p, dp, priv.p)
-        m2 = _powmod(c % priv.q, dq, priv.q)
-        h = (q_inv * (m1 - m2)) % priv.p
-        block = (m2 + h * priv.q).to_bytes(k, "big")
-        if block[:2] != b"\x00\x02":
-            raise BenchVerificationError("rsa_only verification hit a bad block")
-        sep = block.find(b"\x00", 2)
-        if sep == -1:
-            raise BenchVerificationError("rsa_only verification hit a bad block")
-        parts.append(block[sep + 1 :])
-    return b"".join(parts)
+    try:
+        return b"".join(rsa.decrypt_v15(priv, ct) for ct in chunks)
+    except DecapsulationError:
+        raise BenchVerificationError("rsa_only verification hit a bad block") from None
 
 
 def _timed_runs(

@@ -42,6 +42,16 @@ class DecapsulationError(HcieError):
     """
 
 
+class RsaFaultError(HcieError):
+    """An RSA private-key result failed its check m^e = x (mod n).
+
+    The CRT path computes mod p and mod q separately; a fault in one half
+    would let the released value reveal a factor of n, so it is withheld.
+    ``sign`` raises this; seed decapsulation reports it as the uniform
+    :class:`DecapsulationError` instead.
+    """
+
+
 class EnvelopeFormatError(HcieError, ValueError):
     """Serialized envelope is malformed (bad magic, version, or lengths)."""
 

@@ -190,14 +190,13 @@ def is_invertible(a: RingMatrix, ring: RingParams) -> bool:
 def invert(a: RingMatrix, ring: RingParams) -> RingMatrix:
     """Inverse matrix b with a*b = b*a = I mod 2^m.
 
-    Small matrices (dim <= 4) go through the adjugate: inv(a) =
-    det(a)^-1 * adj(a), written out as det^-1 * [[d, -b], [-c, a]] for a
-    2x2 matrix, the Hill key factor size.  Larger ones use Gauss-Jordan
-    elimination where each pivot column is searched for an odd entry; an
-    invertible matrix always has one, because its reduction mod 2 has full
-    rank.
+    1x1 and 2x2 matrices use the adjugate in closed form, det^-1 * [[d, -b],
+    [-c, a]] for a 2x2 matrix, the Hill key factor size.  Larger ones use
+    Gauss-Jordan elimination where each pivot column is searched for an odd
+    entry; an invertible matrix always has one, because its reduction mod 2
+    has full rank.
     """
-    if a.dim <= 4:
+    if a.dim <= 2:
         return _invert_adjugate(a, ring)
     return _invert_gauss(a, ring)
 
@@ -207,31 +206,13 @@ def _invert_adjugate(a: RingMatrix, ring: RingParams) -> RingMatrix:
     if not ring.is_unit(d):
         raise NotInvertibleError(f"matrix not a unit mod 2^{ring.m} (det = {d})")
     d_inv = ring.inv(d)
-    n = a.dim
-    mask = ring.mask
-    if n == 1:
+    if a.dim == 1:
         return RingMatrix(((d_inv,),))
-    if n == 2:
-        (a0, b0), (c0, d0) = a.rows
-        return RingMatrix(
-            ((d_inv * d0 & mask, -d_inv * b0 & mask), (-d_inv * c0 & mask, d_inv * a0 & mask))
-        )
-    # adj(a)[i][j] = (-1)^(i+j) * minor(j, i), computed exactly then reduced
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = RingMatrix(
-                tuple(
-                    tuple(a.rows[r][c] for c in range(n) if c != i)
-                    for r in range(n)
-                    if r != j
-                )
-            )
-            cof = det(minor, ring) if (i + j) % 2 == 0 else -det(minor, ring)
-            row.append((d_inv * cof) & mask)
-        rows.append(tuple(row))
-    return RingMatrix(tuple(rows))
+    mask = ring.mask
+    (a0, b0), (c0, d0) = a.rows
+    return RingMatrix(
+        ((d_inv * d0 & mask, -d_inv * b0 & mask), (-d_inv * c0 & mask, d_inv * a0 & mask))
+    )
 
 
 def _invert_gauss(a: RingMatrix, ring: RingParams) -> RingMatrix:

@@ -7,11 +7,15 @@ layer only ever pushes a 32-byte session seed and a digest through these
 primitives.
 
 Key generation draws primes at ``bits/2`` with 40 Miller-Rabin rounds and
-uses the Carmichael function lcm(p-1, q-1) for the private exponent.
+uses the Carmichael function lcm(p-1, q-1) for the private exponent.  Every
+private-key operation goes through :func:`_private`, which works mod p and
+mod q separately (CRT) and checks its result against the public exponent
+before releasing it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import random
@@ -19,7 +23,7 @@ import secrets
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
-from .errors import DecapsulationError, KeyFileError
+from .errors import DecapsulationError, KeyFileError, RsaFaultError
 
 MILLER_RABIN_ROUNDS = 40
 DEFAULT_PUBLIC_EXPONENT = 65537
@@ -65,6 +69,11 @@ class RsaPrivateKey:
 
     def public(self) -> RsaPublicKey:
         return RsaPublicKey(self.n, self.e)
+
+    @functools.cached_property
+    def crt(self) -> Tuple[int, int, int]:
+        """(d mod p-1, d mod q-1, q^-1 mod p), derived on first use."""
+        return self.d % (self.p - 1), self.d % (self.q - 1), pow(self.q, -1, self.p)
 
 
 @dataclass(frozen=True)
@@ -170,51 +179,91 @@ def _nonzero_bytes(count: int, rng: Optional[random.Random]) -> bytes:
     return bytes(out)
 
 
+def _private(priv: RsaPrivateKey, x: int) -> int:
+    """x^d mod n for 0 <= x < n, the one private-exponent path.
+
+    Computes x^d mod p and x^d mod q with the reduced exponents and joins
+    them with Garner's recombination (Quisquater-Couvreur).  A fault in
+    either half would make the result leak a factor of n (Boneh-DeMillo-
+    Lipton), so m^e mod n is compared with x first and a mismatch raises
+    :class:`RsaFaultError` instead of returning m.
+    """
+    dp, dq, q_inv = priv.crt
+    m1 = pow(x, dp, priv.p)
+    m2 = pow(x, dq, priv.q)
+    m = m2 + (q_inv * (m1 - m2) % priv.p) * priv.q
+    if pow(m, priv.e, priv.n) != x:
+        raise RsaFaultError("private-key operation failed its consistency check")
+    return m
+
+
+def encrypt_v15(
+    pub: RsaPublicKey, data: bytes, rng: Optional[random.Random] = None
+) -> bytes:
+    """Encrypt ``data`` in one v1.5-style block.
+
+    Builds ``00 02 <random nonzero fill> 00 <data>`` at exactly modulus
+    width, then returns (block^e mod n) as fixed-width big-endian bytes.
+    The fill is at least 8 bytes, so ``data`` may be up to k - 11 bytes.
+    """
+    k = pub.byte_length()
+    if len(data) > k - 11:
+        raise ValueError(f"{len(data)} bytes do not fit a {k}-byte v1.5 block")
+    fill = _nonzero_bytes(k - 3 - len(data), rng)
+    x = int.from_bytes(b"\x00\x02" + fill + b"\x00" + data, "big")
+    return pow(x, pub.e, pub.n).to_bytes(k, "big")
+
+
+def decrypt_v15(priv: RsaPrivateKey, ct: bytes) -> bytes:
+    """Inverse of :func:`encrypt_v15`.  Every failure, a failed private-key
+    check included, raises the same :class:`DecapsulationError`."""
+    k = priv.byte_length()
+    x = int.from_bytes(ct, "big")
+    if len(ct) != k or x >= priv.n:
+        raise DecapsulationError("decapsulation failed")
+    try:
+        block = _private(priv, x).to_bytes(k, "big")
+    except RsaFaultError:
+        raise DecapsulationError("decapsulation failed") from None
+    sep = block.find(b"\x00", 2)
+    if block[:2] != b"\x00\x02" or sep == -1:
+        raise DecapsulationError("decapsulation failed")
+    return block[sep + 1 :]
+
+
 def encrypt_seed(
     pub: RsaPublicKey, seed: bytes, rng: Optional[random.Random] = None
 ) -> bytes:
-    """Encapsulate a 32-byte session seed under a public key.
-
-    Builds the block ``00 02 <random nonzero fill> 00 <seed>`` at exactly
-    modulus width, then returns (block^e mod n) as fixed-width big-endian
-    bytes.  The random fill makes repeated encapsulations of one seed
-    differ.
-    """
+    """Encapsulate a 32-byte session seed under a public key in one
+    :func:`encrypt_v15` block.  The random fill makes repeated
+    encapsulations of one seed differ."""
     if len(seed) != 32:
         raise ValueError(f"seed must be exactly 32 bytes, got {len(seed)}")
     k = pub.byte_length()
     if k < 64:
         raise ValueError(f"modulus too small to encapsulate a seed: {k} bytes, need >= 64")
-    fill = _nonzero_bytes(k - 3 - len(seed), rng)
-    block = b"\x00\x02" + fill + b"\x00" + seed
-    x = int.from_bytes(block, "big")
-    return pow(x, pub.e, pub.n).to_bytes(k, "big")
+    return encrypt_v15(pub, seed, rng)
 
 
 def decrypt_seed(priv: RsaPrivateKey, ct: bytes) -> bytes:
     """Recover a session seed; any malformation raises the same uniform
     :class:`DecapsulationError` so nothing about the failure leaks."""
-    k = priv.byte_length()
-    if len(ct) != k:
+    seed = decrypt_v15(priv, ct)
+    if len(seed) != 32:
         raise DecapsulationError("decapsulation failed")
-    x = int.from_bytes(ct, "big")
-    if x >= priv.n:
-        raise DecapsulationError("decapsulation failed")
-    block = pow(x, priv.d, priv.n).to_bytes(k, "big")
-    if block[0] != 0 or block[1] != 2:
-        raise DecapsulationError("decapsulation failed")
-    sep = block.find(b"\x00", 2)
-    if sep == -1 or len(block) - sep - 1 != 32:
-        raise DecapsulationError("decapsulation failed")
-    return block[sep + 1 :]
+    return seed
 
 
 def sign(priv: RsaPrivateKey, message: bytes) -> Signature:
-    """Sign a message: the SHA-256 digest, big-endian, raised to d mod n."""
+    """Sign a message: the SHA-256 digest, big-endian, raised to d mod n.
+
+    Raises :class:`RsaFaultError`, and releases no signature, if the
+    private-key operation fails its check.
+    """
     if priv.n <= (1 << 256):
         raise ValueError("modulus too small to sign a 256-bit digest")
     digest = int.from_bytes(sha256(message), "big")
-    return Signature(pow(digest, priv.d, priv.n))
+    return Signature(_private(priv, digest))
 
 
 def verify(pub: RsaPublicKey, message: bytes, sig: Signature) -> bool:
@@ -264,7 +313,13 @@ def parse_key(data: bytes) -> Union[RsaPublicKey, RsaPrivateKey]:
     if role == "private":
         if len(values) != 5:
             raise KeyFileError(f"private key file needs 5 fields, got {len(values)}")
-        return RsaPrivateKey(n=values[0], e=values[1], d=values[2], p=values[3], q=values[4])
+        n, e, d, p, q = values
+        # the CRT path computes with p and q, so they must match n and d
+        if p < 2 or q < 2 or p == q or p * q != n:
+            raise KeyFileError("private key p and q are not two distinct factors of n")
+        if e * d % math.lcm(p - 1, q - 1) != 1:
+            raise KeyFileError("private key d does not invert e mod lcm(p-1, q-1)")
+        return RsaPrivateKey(n=n, e=e, d=d, p=p, q=q)
     raise KeyFileError(f"unknown key role {role!r}")
 
 

@@ -225,17 +225,33 @@ def _failure_reason(exc: Exception) -> str:
     return "internal error"
 
 
+def _claim(path: Path) -> Path:
+    os.close(os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    return path
+
+
 def _claim_output_path(out_dir: Path, name: str) -> Path:
-    """Reserve a collision-free output name (name, name.1, name.2, ...)."""
-    for i in range(1000000):
-        candidate = out_dir / (name if i == 0 else f"{name}.{i}")
-        try:
-            fd = os.open(candidate, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            continue
-        os.close(fd)
-        return candidate
-    raise OSError(f"could not claim an output name for {name!r}")
+    """Reserve a collision-free output name: ``name``, else ``name.i`` for
+    the smallest free i >= 1, so gaps are filled first.
+
+    The directory is listed once, on the first collision; a suffix another
+    writer claims between that listing and our O_EXCL open is skipped.
+    """
+    try:
+        return _claim(out_dir / name)
+    except FileExistsError:
+        pass
+    prefix = f"{name}."
+    with os.scandir(out_dir) as entries:
+        taken = {e.name[len(prefix) :] for e in entries if e.name.startswith(prefix)}
+    i = 1
+    while True:
+        if str(i) not in taken:
+            try:
+                return _claim(out_dir / f"{name}.{i}")
+            except FileExistsError:
+                pass
+        i += 1
 
 
 def _write_atomic(out_dir: Path, name: str, data: bytes) -> Path:

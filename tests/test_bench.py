@@ -98,6 +98,23 @@ class TestVerification:
         assert all(len(c) == pub.byte_length() for c in chunks)
         assert bench._rsa_decrypt_chunks(priv, chunks) == payload
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda ct, pub: bytes([ct[0] ^ 0x01]) + ct[1:],  # flipped byte
+            lambda ct, pub: ct[:-1],  # truncated
+            lambda ct, pub: (pub.n + 1).to_bytes(pub.byte_length(), "big"),  # >= n
+            lambda ct, pub: pow(1, pub.e, pub.n).to_bytes(pub.byte_length(), "big"),  # block = 1
+        ],
+        ids=["flipped byte", "truncated", "not below n", "no v1.5 header"],
+    )
+    def test_rsa_only_rejects_corrupted_chunk(self, recipient_pair, corrupt):
+        pub, priv = recipient_pair
+        chunks = bench._rsa_encrypt_chunks(pub, bench.payload_for(2000), random.Random(44))
+        chunks[7] = corrupt(chunks[7], pub)
+        with pytest.raises(BenchVerificationError):
+            bench._rsa_decrypt_chunks(priv, chunks)
+
 
 class TestCsv:
     def test_round_trip(self, small_run, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -178,7 +179,7 @@ class TestInvert:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 8, 16])
     def test_two_sided_inverse(self, dim):
-        # dims 1-4 take the adjugate path, larger ones Gauss-Jordan
+        # dims 1-2 take the closed-form adjugate, larger ones Gauss-Jordan
         rng = random.Random(dim)
         for _ in range(10):
             a = ring.random_invertible(dim, BYTE_RING, rng)
@@ -192,6 +193,25 @@ class TestInvert:
         a = ring.random_invertible(4, r16, rng)
         inv = ring.invert(a, r16)
         assert ring.mat_mul(a, inv, r16) == RingMatrix.identity(4)
+
+    @pytest.mark.parametrize(
+        "dim, m, digest",
+        [
+            (3, 8, "638029d51b14c6510eae1a2280a01b94a6e0967f61b20af7b886dd8c7fee73c0"),
+            (3, 16, "c3b1ad37dbdd405a256fb244599ce224cf1a69d06e1bde6dce9f3873e0bdd822"),
+            (4, 8, "eca2eb0195b3357ebf71cf33c512a3b6366ccac2d37f799ead2caff9cdfc4a1a"),
+            (4, 16, "e628915fc404c6c18392a1404e3d381b11c417f706c16ab5dfe92f2f619d1605"),
+        ],
+    )
+    def test_3x3_and_4x4_match_cofactor_inverses(self, dim, m, digest):
+        # SHA-256 over 50 inverses as computed by the cofactor-expansion
+        # adjugate, which inverted these sizes until Gauss-Jordan took over
+        r = RingParams(m)
+        rng = random.Random(f"invert {dim} {m}")
+        h = hashlib.sha256()
+        for _ in range(50):
+            h.update(repr(ring.invert(ring.random_invertible(dim, r, rng), r).rows).encode())
+        assert h.hexdigest() == digest
 
 
 class TestKronecker:

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from hcie import rsa
-from hcie.errors import DecapsulationError, KeyFileError
+from hcie.errors import DecapsulationError, KeyFileError, RsaFaultError
 
 from reference_sha256 import sha256 as ref_sha256
 
@@ -241,6 +241,114 @@ class TestSignatures:
         assert slow_pow(sig.value, pub.e, pub.n) == int.from_bytes(ref_sha256(msg), "big")
 
 
+@pytest.fixture(scope="module", params=[512, 1024, 2048])
+def sized_pair(request):
+    return rsa.keygen(request.param, random.Random(f"crt {request.param} 6"))
+
+
+class TestPrivateCore:
+    """The CRT private path against plain pow(x, d, n), and its fault check."""
+
+    def test_sign_equals_plain_pow(self, sized_pair):
+        pub, priv = sized_pair
+        for msg in (b"", b"crt", bytes(range(256))):
+            digest = int.from_bytes(rsa.sha256(msg), "big")
+            assert rsa.sign(priv, msg).value == pow(digest, priv.d, priv.n)
+
+    def test_decrypt_seed_equals_plain_pow(self, sized_pair):
+        pub, priv = sized_pair
+        rng = random.Random(33)
+        for _ in range(5):
+            seed = rng.randbytes(32)
+            ct = rsa.encrypt_seed(pub, seed, rng)
+            block = pow(int.from_bytes(ct, "big"), priv.d, priv.n).to_bytes(pub.byte_length(), "big")
+            assert rsa.decrypt_seed(priv, ct) == block[-32:] == seed
+
+    def test_toy_key_exhaustive(self, textbook_priv):
+        priv = textbook_priv
+        for x in range(priv.n):
+            assert rsa._private(priv, x) == pow(x, priv.d, priv.n)
+
+    def test_crt_parameters(self, recipient_pair):
+        _, priv = recipient_pair
+        dp, dq, q_inv = priv.crt
+        assert dp == priv.d % (priv.p - 1) and dq == priv.d % (priv.q - 1)
+        assert q_inv * priv.q % priv.p == 1
+
+    @staticmethod
+    def _corrupted(priv, index):
+        bad = rsa.RsaPrivateKey(n=priv.n, e=priv.e, d=priv.d, p=priv.p, q=priv.q)
+        crt = list(priv.crt)
+        crt[index] ^= 2
+        bad.__dict__["crt"] = tuple(crt)
+        return bad
+
+    @pytest.mark.parametrize("index", [0, 1, 2], ids=["dp", "dq", "q_inv"])
+    def test_corrupted_crt_parameter_releases_nothing(self, recipient_pair, index):
+        pub, priv = recipient_pair
+        bad = self._corrupted(priv, index)
+        with pytest.raises(RsaFaultError):
+            rsa.sign(bad, b"faulty")
+        ct = rsa.encrypt_seed(pub, bytes(32), random.Random(34))
+        with pytest.raises(DecapsulationError, match="^decapsulation failed$"):
+            rsa.decrypt_seed(bad, ct)
+        # the intact key still works on the same inputs
+        assert rsa.decrypt_seed(priv, ct) == bytes(32)
+
+    @pytest.mark.parametrize("half", ["p", "q"])
+    def test_faulty_pow_releases_nothing(self, recipient_pair, monkeypatch, half):
+        pub, priv = recipient_pair
+        ct = rsa.encrypt_seed(pub, bytes(range(32)), random.Random(35))
+        modulus = getattr(priv, half)
+        calls = []
+
+        def faulty_pow(base, exp, mod=None):
+            result = pow(base, exp, mod)
+            if mod == modulus:
+                calls.append(mod)
+                result ^= 1
+            return result
+
+        monkeypatch.setattr(rsa, "pow", faulty_pow, raising=False)
+        with pytest.raises(RsaFaultError):
+            rsa.sign(priv, b"faulty")
+        with pytest.raises(DecapsulationError, match="^decapsulation failed$"):
+            rsa.decrypt_seed(priv, ct)
+        assert len(calls) == 2
+        monkeypatch.undo()
+        assert rsa.decrypt_seed(priv, ct) == bytes(range(32))
+
+
+class TestV15Blocks:
+    def test_round_trip_at_every_length(self, recipient_pair):
+        pub, priv = recipient_pair
+        rng = random.Random(36)
+        for length in range(pub.byte_length() - 10):
+            data = rng.randbytes(length)
+            assert rsa.decrypt_v15(priv, rsa.encrypt_v15(pub, data, rng)) == data
+
+    def test_oversized_data_rejected(self, recipient_pair):
+        pub, _ = recipient_pair
+        with pytest.raises(ValueError):
+            rsa.encrypt_v15(pub, bytes(pub.byte_length() - 10))
+
+    def test_seed_block_is_a_v15_block(self, recipient_pair):
+        # encrypt_seed draws the same fill as encrypt_v15 from the same rng
+        pub, _ = recipient_pair
+        seed = bytes(range(32))
+        assert rsa.encrypt_seed(pub, seed, random.Random(37)) == rsa.encrypt_v15(
+            pub, seed, random.Random(37)
+        )
+
+    def test_other_payload_widths_are_not_seeds(self, recipient_pair):
+        pub, priv = recipient_pair
+        for length in (0, 31, 33):
+            ct = rsa.encrypt_v15(pub, bytes(length), random.Random(38))
+            assert rsa.decrypt_v15(priv, ct) == bytes(length)
+            with pytest.raises(DecapsulationError, match="^decapsulation failed$"):
+                rsa.decrypt_seed(priv, ct)
+
+
 class TestKeyFiles:
     def test_round_trip_public(self, recipient_pair):
         pub, _ = recipient_pair
@@ -273,6 +381,37 @@ class TestKeyFiles:
     def test_malformed_files_rejected(self, data):
         with pytest.raises(KeyFileError):
             rsa.parse_key(data)
+
+    @pytest.mark.parametrize(
+        "field, change",
+        [
+            ("n", lambda k: k.n + 2),
+            ("e", lambda k: k.e + 2),
+            ("d", lambda k: k.d + 1),
+            ("p", lambda k: k.p + 2),
+            ("q", lambda k: k.q + 2),
+        ],
+        ids=["n", "e", "d", "p", "q"],
+    )
+    def test_inconsistent_private_field_rejected(self, recipient_pair, field, change):
+        _, priv = recipient_pair
+        fields = {name: getattr(priv, name) for name in "nedpq"}
+        fields[field] = change(priv)
+        with pytest.raises(KeyFileError):
+            rsa.parse_key(rsa.serialize_key(rsa.RsaPrivateKey(**fields)))
+
+    @pytest.mark.parametrize(
+        "p, q",
+        [(1, 3233), (3233, 1), (7, 7)],
+        ids=["p is 1", "q is 1", "p equals q"],
+    )
+    def test_degenerate_factors_rejected(self, p, q):
+        key = rsa.RsaPrivateKey(n=p * q, e=5, d=5, p=p, q=q)
+        with pytest.raises(KeyFileError):
+            rsa.parse_key(rsa.serialize_key(key))
+
+    def test_textbook_key_file_accepted(self, textbook_priv):
+        assert rsa.parse_key(rsa.serialize_key(textbook_priv)) == textbook_priv
 
     def test_fingerprint_is_stable_and_distinct(self, recipient_pair, sender_pair):
         pub_a, _ = recipient_pair

@@ -1,8 +1,11 @@
+import contextlib
 import io
 import logging
+import os
 import random
 import socket
 import struct
+import sys
 import threading
 import time
 from pathlib import Path
@@ -24,6 +27,79 @@ def roundtrip(frame: Frame) -> Frame:
     transfer.write_frame(buf, frame)
     buf.seek(0)
     return transfer.read_frame(buf)
+
+
+class TestClaimOutputPath:
+    @staticmethod
+    def _count(monkeypatch, listing_hook=None):
+        opens, scans = [], []
+        real_open, real_scandir = os.open, os.scandir
+
+        def counting_open(path, *args, **kwargs):
+            opens.append(Path(path).name)
+            return real_open(path, *args, **kwargs)
+
+        def counting_scandir(path):
+            scans.append(path)
+            with real_scandir(path) as entries:
+                listing = list(entries)
+            if listing_hook:
+                listing_hook()
+            return contextlib.nullcontext(listing)
+
+        monkeypatch.setattr(transfer.os, "open", counting_open)
+        monkeypatch.setattr(transfer.os, "scandir", counting_scandir)
+        return opens, scans
+
+    def test_free_name_needs_no_scan(self, tmp_path, monkeypatch):
+        opens, scans = self._count(monkeypatch)
+        assert transfer._claim_output_path(tmp_path, "a.txt") == tmp_path / "a.txt"
+        assert opens == ["a.txt"] and scans == []
+        assert (tmp_path / "a.txt").exists()
+
+    def test_gap_among_1000_copies_found_with_one_scan(self, tmp_path, monkeypatch):
+        for name in ["f.bin", "f.bin.x", "f.bin.1.1", "f.bin.0538", "g.bin.538"]:
+            (tmp_path / name).write_bytes(b"")
+        for i in range(1, 1001):
+            if i != 538:
+                (tmp_path / f"f.bin.{i}").write_bytes(b"")
+        opens, scans = self._count(monkeypatch)
+        assert transfer._claim_output_path(tmp_path, "f.bin") == tmp_path / "f.bin.538"
+        assert opens == ["f.bin", "f.bin.538"] and len(scans) == 1
+        opens.clear(), scans.clear()
+        assert transfer._claim_output_path(tmp_path, "f.bin") == tmp_path / "f.bin.1001"
+        assert opens == ["f.bin", "f.bin.1001"] and len(scans) == 1
+
+    def test_suffix_taken_after_the_scan_is_skipped(self, tmp_path, monkeypatch):
+        (tmp_path / "r").write_bytes(b"")
+        # another writer claims r.1 between the listing and our O_EXCL open
+        opens, scans = self._count(monkeypatch, lambda: (tmp_path / "r.1").write_bytes(b"other"))
+        assert transfer._claim_output_path(tmp_path, "r") == tmp_path / "r.2"
+        assert opens == ["r", "r.1", "r.2"] and len(scans) == 1
+        assert (tmp_path / "r.1").read_bytes() == b"other"
+
+    def test_concurrent_claims_of_one_name_are_distinct(self, tmp_path):
+        claimed = []
+        lock = threading.Lock()
+
+        def worker():
+            for _ in range(25):
+                path = transfer._claim_output_path(tmp_path, "same")
+                with lock:
+                    claimed.append(path.name)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(claimed) == sorted(["same"] + [f"same.{i}" for i in range(1, 150)])
 
 
 @pytest.fixture
