@@ -5,141 +5,3 @@ for seed transport and signatures, a byte-exact envelope format, and a
 small TCP protocol for moving sealed files.  See the module docstrings for
 the security caveats; nothing here is hardened cryptography.
 """
-
-from .bench import BenchRecord, read_csv, run_bench, write_csv
-from .envelope import Envelope, open_envelope, parse, seal, serialize
-from .errors import (
-    BenchVerificationError,
-    ConnectionClosedError,
-    DecapsulationError,
-    DimensionError,
-    EnvelopeFormatError,
-    FingerprintMismatchError,
-    FrameTooLargeError,
-    HcieError,
-    InconsistentPairsError,
-    InsufficientPlaintextError,
-    KeyFileError,
-    NotInvertibleError,
-    OpenError,
-    PaddingError,
-    PlaintextLengthError,
-    ProtocolError,
-    RsaFaultError,
-    SignatureError,
-    TransferError,
-)
-from .hill import (
-    HillKey,
-    decrypt_block,
-    decrypt_stream,
-    derive_key,
-    encrypt_block,
-    encrypt_stream,
-    pad,
-    random_seed,
-    recover_key_known_plaintext,
-    unpad,
-)
-from .ring import (
-    BYTE_RING,
-    Block,
-    RingMatrix,
-    RingParams,
-    det,
-    invert,
-    is_invertible,
-    kronecker,
-    mat_mul,
-    mat_vec,
-    random_invertible,
-    random_matrix,
-)
-from .rsa import (
-    RsaPrivateKey,
-    RsaPublicKey,
-    Signature,
-    decrypt_seed,
-    encrypt_seed,
-    fingerprint,
-    is_probable_prime,
-    keygen,
-    parse_key,
-    serialize_key,
-    sha256,
-    sign,
-    verify,
-)
-from .transfer import TransferServer, load_trusted_keys, send_file, serve
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "BYTE_RING",
-    "BenchRecord",
-    "BenchVerificationError",
-    "Block",
-    "ConnectionClosedError",
-    "DecapsulationError",
-    "DimensionError",
-    "Envelope",
-    "EnvelopeFormatError",
-    "FingerprintMismatchError",
-    "FrameTooLargeError",
-    "HcieError",
-    "HillKey",
-    "InconsistentPairsError",
-    "InsufficientPlaintextError",
-    "KeyFileError",
-    "NotInvertibleError",
-    "OpenError",
-    "PaddingError",
-    "PlaintextLengthError",
-    "ProtocolError",
-    "RingMatrix",
-    "RingParams",
-    "RsaFaultError",
-    "RsaPrivateKey",
-    "RsaPublicKey",
-    "Signature",
-    "SignatureError",
-    "TransferError",
-    "TransferServer",
-    "decrypt_block",
-    "decrypt_seed",
-    "decrypt_stream",
-    "derive_key",
-    "det",
-    "encrypt_block",
-    "encrypt_seed",
-    "encrypt_stream",
-    "fingerprint",
-    "invert",
-    "is_invertible",
-    "is_probable_prime",
-    "keygen",
-    "kronecker",
-    "load_trusted_keys",
-    "mat_mul",
-    "mat_vec",
-    "open_envelope",
-    "pad",
-    "parse",
-    "parse_key",
-    "random_invertible",
-    "random_matrix",
-    "random_seed",
-    "read_csv",
-    "recover_key_known_plaintext",
-    "run_bench",
-    "seal",
-    "send_file",
-    "serialize",
-    "serialize_key",
-    "serve",
-    "sha256",
-    "sign",
-    "unpad",
-    "verify",
-    "write_csv",
-]

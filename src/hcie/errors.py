@@ -4,11 +4,16 @@ Everything raised on purpose by this package derives from :class:`HcieError`,
 so callers can catch one type at a boundary (the transfer server does exactly
 that).  Errors that are really malformed-input complaints also subclass
 ``ValueError`` so they behave sanely in generic code.
+
+Each class's ``reason`` is the short label the transfer server sends in an
+ERR frame when a session fails with it.
 """
 
 
 class HcieError(Exception):
     """Base class for all errors raised by this package."""
+
+    reason = "internal error"
 
 
 class DimensionError(HcieError, ValueError):
@@ -21,6 +26,8 @@ class NotInvertibleError(HcieError, ValueError):
 
 class PaddingError(HcieError, ValueError):
     """Block padding is malformed."""
+
+    reason = "invalid padding"
 
 
 class InsufficientPlaintextError(HcieError, ValueError):
@@ -41,6 +48,8 @@ class DecapsulationError(HcieError):
     Deliberately carries no detail about which padding check failed.
     """
 
+    reason = "decapsulation failed"
+
 
 class RsaFaultError(HcieError):
     """An RSA private-key result failed its check m^e = x (mod n).
@@ -55,6 +64,8 @@ class RsaFaultError(HcieError):
 class EnvelopeFormatError(HcieError, ValueError):
     """Serialized envelope is malformed (bad magic, version, or lengths)."""
 
+    reason = "envelope format"
+
 
 class OpenError(HcieError):
     """Opening a well-formed envelope failed; no plaintext was recovered."""
@@ -63,21 +74,34 @@ class OpenError(HcieError):
 class PlaintextLengthError(OpenError):
     """Recovered plaintext length does not match the recorded length."""
 
+    reason = "plaintext length mismatch"
+
 
 class SignatureError(OpenError):
     """Signature verification over the recovered plaintext failed."""
+
+    reason = "signature verification failed"
 
 
 class FingerprintMismatchError(OpenError):
     """Envelope fingerprint does not match the supplied sender public key."""
 
+    reason = "signature verification failed"
+
 
 class ProtocolError(HcieError):
     """The peer violated the wire protocol."""
 
+    @property
+    def reason(self) -> str:
+        # the message is the reason code ("version", "unknown sender", ...)
+        return str(self) or "protocol"
+
 
 class FrameTooLargeError(ProtocolError):
-    """Declared frame length exceeds the configured maximum."""
+    """Declared frame length exceeds ``transfer.MAX_FRAME``."""
+
+    reason = "frame too large"
 
 
 class ConnectionClosedError(ProtocolError):

@@ -10,6 +10,7 @@ numeric suffixes instead of overwrites on name collisions.
 
 from __future__ import annotations
 
+import errno
 import logging
 import os
 import random
@@ -26,15 +27,9 @@ from . import envelope as envelope_mod
 from . import rsa
 from .errors import (
     ConnectionClosedError,
-    DecapsulationError,
-    EnvelopeFormatError,
-    FingerprintMismatchError,
     FrameTooLargeError,
     HcieError,
-    PaddingError,
-    PlaintextLengthError,
     ProtocolError,
-    SignatureError,
     TransferError,
 )
 
@@ -95,12 +90,12 @@ def write_frame(stream: BinaryIO, frame: Frame) -> None:
     stream.flush()
 
 
-def read_frame(stream: BinaryIO, max_frame: int = MAX_FRAME) -> Frame:
+def read_frame(stream: BinaryIO) -> Frame:
     header = _read_exact(stream, 5)
     kind_byte, length = struct.unpack(">BI", header)
-    if length > max_frame:
+    if length > MAX_FRAME:
         # reject before touching the payload, let alone allocating it
-        raise FrameTooLargeError(f"frame of {length} bytes exceeds maximum {max_frame}")
+        raise FrameTooLargeError(f"frame of {length} bytes exceeds maximum {MAX_FRAME}")
     try:
         kind = FrameKind(kind_byte)
     except ValueError:
@@ -149,7 +144,6 @@ def send_file(
     sender_pub: rsa.RsaPublicKey,
     rng: Optional[random.Random] = None,
     dim_log2: int = 4,
-    timeout: float = CONNECTION_TIMEOUT,
 ) -> AckPayload:
     """Seal a file and push it to a listening server.
 
@@ -162,7 +156,7 @@ def send_file(
     env = envelope_mod.seal(plaintext, recipient_pub, sender_priv, sender_pub, rng, dim_log2)
     payload = encode_file_payload(path.name, envelope_mod.serialize(env))
 
-    with socket.create_connection((host, port), timeout=timeout) as sock:
+    with socket.create_connection((host, port), timeout=CONNECTION_TIMEOUT) as sock:
         stream = sock.makefile("rwb")
         try:
             write_frame(stream, Frame(FrameKind.HELLO, HELLO_PAYLOAD))
@@ -206,27 +200,14 @@ def load_trusted_keys(trust_dir) -> Dict[bytes, rsa.RsaPublicKey]:
     return table
 
 
-def _failure_reason(exc: Exception) -> str:
-    if isinstance(exc, DecapsulationError):
-        return "decapsulation failed"
-    if isinstance(exc, PaddingError):
-        return "invalid padding"
-    if isinstance(exc, (SignatureError, FingerprintMismatchError)):
-        return "signature verification failed"
-    if isinstance(exc, PlaintextLengthError):
-        return "plaintext length mismatch"
-    if isinstance(exc, EnvelopeFormatError):
-        return "envelope format"
-    if isinstance(exc, FrameTooLargeError):
-        return "frame too large"
-    if isinstance(exc, ProtocolError):
-        # protocol errors carry their reason code ("version", "unknown sender", ...)
-        return str(exc) or "protocol"
-    return "internal error"
-
-
 def _claim(path: Path) -> Path:
-    os.close(os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    try:
+        os.close(os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except OSError as exc:
+        # a valid name can outgrow the filesystem's limit once suffixed
+        if exc.errno == errno.ENAMETOOLONG:
+            raise ProtocolError("filename too long") from None
+        raise
     return path
 
 
@@ -286,14 +267,10 @@ class TransferServer:
         sender_pub_lookup: Callable[[bytes], Optional[rsa.RsaPublicKey]],
         out_dir,
         host: str = "0.0.0.0",
-        timeout: float = CONNECTION_TIMEOUT,
-        max_frame: int = MAX_FRAME,
     ):
         self._recipient_priv = recipient_priv
         self._lookup = sender_pub_lookup
         self._out_dir = Path(out_dir)
-        self._timeout = timeout
-        self._max_frame = max_frame
         self._stopping = threading.Event()
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -322,12 +299,12 @@ class TransferServer:
         self._stopping.set()
 
     def _handle(self, conn: socket.socket, addr) -> None:
-        conn.settimeout(self._timeout)
+        conn.settimeout(CONNECTION_TIMEOUT)
         stream = conn.makefile("rwb")
         try:
             self._session(stream)
         except (HcieError, OSError, ValueError) as exc:
-            reason = _failure_reason(exc)
+            reason = exc.reason if isinstance(exc, HcieError) else "internal error"
             logger.info("connection from %s failed: %s", addr, exc)
             try:
                 write_frame(stream, Frame(FrameKind.ERR, reason.encode("utf-8")))
@@ -341,14 +318,14 @@ class TransferServer:
             conn.close()
 
     def _session(self, stream: BinaryIO) -> None:
-        hello = read_frame(stream, self._max_frame)
+        hello = read_frame(stream)
         if hello.kind != FrameKind.HELLO:
             raise ProtocolError(f"expected HELLO, got kind {hello.kind}")
         if hello.payload != HELLO_PAYLOAD:
             raise ProtocolError("version")
         write_frame(stream, Frame(FrameKind.OK, b""))
 
-        file_frame = read_frame(stream, self._max_frame)
+        file_frame = read_frame(stream)
         if file_frame.kind != FrameKind.FILE:
             raise ProtocolError(f"expected FILE, got kind {file_frame.kind}")
         name, env_bytes = decode_file_payload(file_frame.payload)
@@ -361,13 +338,3 @@ class TransferServer:
         logger.info("received %d bytes into %s", len(plaintext), target)
         write_frame(stream, Frame(FrameKind.ACK, AckPayload(0, rsa.sha256(plaintext)).encode()))
 
-
-def serve(
-    port: int,
-    recipient_priv: rsa.RsaPrivateKey,
-    sender_pub_lookup: Callable[[bytes], Optional[rsa.RsaPublicKey]],
-    out_dir,
-    **kwargs,
-) -> None:
-    """Blocking convenience wrapper: build a server and run until stopped."""
-    TransferServer(port, recipient_priv, sender_pub_lookup, out_dir, **kwargs).serve_forever()

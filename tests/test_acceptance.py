@@ -267,7 +267,7 @@ def test_c09_loopback_transfer_and_tamper_proxy(recipient_pair, sender_pair, tmp
         out_dir = tmp_path / "inbox"
         out_dir.mkdir()
         table = {rsa.fingerprint(spub): spub}
-        server = transfer.TransferServer(0, priv, table.get, out_dir, timeout=10.0)
+        server = transfer.TransferServer(0, priv, table.get, out_dir)
         server_thread = threading.Thread(target=server.serve_forever, daemon=True)
         server_thread.start()
         try:
@@ -392,7 +392,7 @@ def test_c11_fuzz_parse_and_listener(recipient_pair, sender_pair, tmp_path):
         out_dir = tmp_path / "fuzz-inbox"
         out_dir.mkdir()
         table = {rsa.fingerprint(spub): spub}
-        server = transfer.TransferServer(0, priv, table.get, out_dir, timeout=5.0)
+        server = transfer.TransferServer(0, priv, table.get, out_dir)
         server_thread = threading.Thread(target=server.serve_forever, daemon=True)
         server_thread.start()
         try:

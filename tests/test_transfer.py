@@ -8,11 +8,12 @@ import struct
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from hcie import envelope, rsa, transfer
+from hcie import envelope, errors, rsa, transfer
 from hcie.errors import (
     ConnectionClosedError,
     FrameTooLargeError,
@@ -110,7 +111,7 @@ def server(recipient_pair, sender_pair, tmp_path):
     out_dir = tmp_path / "incoming"
     out_dir.mkdir()
     table = {rsa.fingerprint(spub): spub}
-    srv = transfer.TransferServer(0, priv, table.get, out_dir, timeout=5.0)
+    srv = transfer.TransferServer(0, priv, table.get, out_dir)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
     yield srv, out_dir
@@ -296,7 +297,7 @@ class TestLoopback:
         out_dir = tmp_path / "wrongkey"
         out_dir.mkdir()
         table = {rsa.fingerprint(spub): spub}
-        srv = transfer.TransferServer(0, wrong_priv, table.get, out_dir, timeout=5.0)
+        srv = transfer.TransferServer(0, wrong_priv, table.get, out_dir)
         thread = threading.Thread(target=srv.serve_forever, daemon=True)
         thread.start()
         try:
@@ -363,6 +364,156 @@ class TestLoopback:
             stream.flush()
         time.sleep(0.2)
         assert list(out_dir.iterdir()) == []
+
+    def test_garbage_envelope_gets_envelope_format(self, server):
+        srv, out_dir = server
+        replies = raw_session(
+            srv.port,
+            [
+                frame_bytes(FrameKind.HELLO, transfer.HELLO_PAYLOAD),
+                frame_bytes(
+                    FrameKind.FILE, transfer.encode_file_payload("junk.bin", b"not an envelope")
+                ),
+            ],
+        )
+        assert replies == [Frame(FrameKind.OK, b""), Frame(FrameKind.ERR, b"envelope format")]
+        assert list(out_dir.iterdir()) == []
+
+    def test_oversized_file_frame_gets_frame_too_large(self, server):
+        srv, out_dir = server
+        tracemalloc.start()
+        try:
+            # only the header: the server must answer without reading on
+            replies = raw_session(
+                srv.port,
+                [
+                    frame_bytes(FrameKind.HELLO, transfer.HELLO_PAYLOAD),
+                    struct.pack(">BI", int(FrameKind.FILE), transfer.MAX_FRAME + 1),
+                ],
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert replies == [Frame(FrameKind.OK, b""), Frame(FrameKind.ERR, b"frame too large")]
+        assert peak < 1 << 20  # the declared 256 MiB were never allocated
+        assert list(out_dir.iterdir()) == []
+
+    def test_stalled_client_is_cut_off(self, server, monkeypatch):
+        srv, out_dir = server
+        monkeypatch.setattr(transfer, "CONNECTION_TIMEOUT", 0.5)
+        with socket.create_connection(("127.0.0.1", srv.port), timeout=5.0) as sock:
+            stream = sock.makefile("rwb")
+            transfer.write_frame(stream, Frame(FrameKind.HELLO, transfer.HELLO_PAYLOAD))
+            assert transfer.read_frame(stream).kind == FrameKind.OK
+            start = time.monotonic()
+            rest = stream.read()  # send nothing more: ERR then close, or just close
+            elapsed = time.monotonic() - start
+            stream.close()
+        assert elapsed < 5.0
+        assert rest == b"" or rest[0] == FrameKind.ERR
+        assert list(out_dir.iterdir()) == []
+
+    def test_resend_of_a_255_byte_name_is_refused(
+        self, server, recipient_pair, sender_pair, tmp_path
+    ):
+        # the first copy fills the name limit, so the ".1" suffix cannot fit
+        srv, out_dir = server
+        if os.pathconf(out_dir, "PC_NAME_MAX") < 255:
+            pytest.skip("filesystem names are shorter than 255 bytes")
+        pub, _ = recipient_pair
+        spub, spriv = sender_pair
+        name = "n" * 251 + ".txt"
+        src = tmp_path / name
+        src.write_bytes(b"first copy")
+        ack = transfer.send_file("127.0.0.1", srv.port, src, pub, spriv, spub)
+        assert ack.status == 0
+
+        env = envelope.seal(b"second copy", pub, spriv, spub, random.Random(41))
+        replies = raw_session(
+            srv.port,
+            [
+                frame_bytes(FrameKind.HELLO, transfer.HELLO_PAYLOAD),
+                frame_bytes(
+                    FrameKind.FILE,
+                    transfer.encode_file_payload(name, envelope.serialize(env)),
+                ),
+            ],
+        )
+        assert replies[1] == Frame(FrameKind.ERR, b"filename too long")
+        assert (out_dir / name).read_bytes() == b"first copy"
+        assert [p.name for p in out_dir.iterdir()] == [name]  # no .hcie-* temp file
+
+
+# The ERR payload each session failure puts on the wire.  Senders show
+# these strings to users, so each one is pinned byte for byte.
+ERR_REASONS = [
+    pytest.param(errors.HcieError("x"), "internal error", id="HcieError"),
+    pytest.param(errors.DimensionError("x"), "internal error", id="DimensionError"),
+    pytest.param(errors.NotInvertibleError("x"), "internal error", id="NotInvertibleError"),
+    pytest.param(errors.PaddingError("x"), "invalid padding", id="PaddingError"),
+    pytest.param(
+        errors.InsufficientPlaintextError("x"), "internal error", id="InsufficientPlaintextError"
+    ),
+    pytest.param(errors.InconsistentPairsError("x"), "internal error", id="InconsistentPairsError"),
+    pytest.param(errors.KeyFileError("x"), "internal error", id="KeyFileError"),
+    pytest.param(errors.DecapsulationError("x"), "decapsulation failed", id="DecapsulationError"),
+    pytest.param(errors.RsaFaultError("x"), "internal error", id="RsaFaultError"),
+    pytest.param(errors.EnvelopeFormatError("x"), "envelope format", id="EnvelopeFormatError"),
+    pytest.param(errors.OpenError("x"), "internal error", id="OpenError"),
+    pytest.param(
+        errors.PlaintextLengthError("x"), "plaintext length mismatch", id="PlaintextLengthError"
+    ),
+    pytest.param(errors.SignatureError("x"), "signature verification failed", id="SignatureError"),
+    pytest.param(
+        errors.FingerprintMismatchError("x"),
+        "signature verification failed",
+        id="FingerprintMismatchError",
+    ),
+    pytest.param(errors.ProtocolError("unknown sender"), "unknown sender", id="ProtocolError"),
+    pytest.param(errors.ProtocolError(), "protocol", id="ProtocolError-empty"),
+    pytest.param(errors.FrameTooLargeError("x"), "frame too large", id="FrameTooLargeError"),
+    pytest.param(
+        errors.ConnectionClosedError("connection closed"),
+        "connection closed",
+        id="ConnectionClosedError",
+    ),
+    pytest.param(errors.TransferError("ack", "x"), "internal error", id="TransferError"),
+    pytest.param(errors.BenchVerificationError("x"), "internal error", id="BenchVerificationError"),
+    pytest.param(OSError("x"), "internal error", id="OSError"),
+    pytest.param(ValueError("x"), "internal error", id="ValueError"),
+    # has a .reason of its own, which must not reach the wire
+    pytest.param(
+        UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"),
+        "internal error",
+        id="UnicodeDecodeError",
+    ),
+]
+
+
+class TestErrReasons:
+    @pytest.mark.parametrize("exc, reason", ERR_REASONS)
+    def test_session_failure_sends_reason(self, server, monkeypatch, exc, reason):
+        srv, _ = server
+
+        def failing_session(self, stream):
+            raise exc
+
+        monkeypatch.setattr(transfer.TransferServer, "_session", failing_session)
+        ours, theirs = socket.socketpair()
+        with theirs, theirs.makefile("rb") as stream:
+            srv._handle(ours, "socketpair")  # closes its end when done
+            theirs.settimeout(5.0)
+            assert transfer.read_frame(stream) == Frame(FrameKind.ERR, reason.encode())
+            assert stream.read() == b""
+
+    def test_every_error_class_is_pinned(self):
+        pinned = {type(p.values[0]) for p in ERR_REASONS}
+        declared = {
+            cls
+            for cls in vars(errors).values()
+            if isinstance(cls, type) and cls.__module__ == errors.__name__
+        }
+        assert declared <= pinned
 
 
 class TestTrustedKeys:
