@@ -33,11 +33,12 @@ for size in sizes:
     ratio = per_size["rsa_only"].elapsed_seconds / per_size["hybrid"].elapsed_seconds
     print(f"\nat {size} bytes the hybrid seal is {ratio:.0f}x faster than chunked RSA")
 
-csv_path = Path(tempfile.mkdtemp(prefix="hcie-demo-")) / "bench.csv"
-bench.write_csv(records, csv_path)
-print("\nCSV written to", csv_path)
-print(csv_path.read_text().splitlines()[0])
-assert bench.read_csv(csv_path) == records
+with tempfile.TemporaryDirectory(prefix="hcie-demo-") as tmp:
+    csv_path = Path(tmp) / "bench.csv"
+    bench.write_csv(records, csv_path)
+    print("\nCSV written to", csv_path)
+    print(csv_path.read_text().splitlines()[0])
+    assert bench.read_csv(csv_path) == records
 
 # Every timed repetition above was also round-trip verified: a record is
 # only emitted after its ciphertext decrypted back to the exact payload.

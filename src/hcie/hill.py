@@ -59,7 +59,7 @@ CHUNK_BYTES = 1 << 18
 
 @dataclass(frozen=True)
 class HillKey:
-    """An invertible key K = F_1 (x) F_2 (x) ... (x) F_k over the ring.
+    """An invertible key K = F_1 (x) F_2 (x) ... (x) F_k over Z_256.
 
     ``factors`` holds the Kronecker factors in product order: the 2x2
     matrices of a derived key, or the one n x n matrix of an ad-hoc key.
@@ -67,7 +67,6 @@ class HillKey:
     and cached; the stream functions never need them.
     """
 
-    ring: RingParams
     factors: Tuple[RingMatrix, ...]
 
     @property
@@ -76,24 +75,24 @@ class HillKey:
 
     @cached_property
     def forward(self) -> RingMatrix:
-        return _reduce(lambda x, y: kronecker(x, y, self.ring), self.factors)
+        return _reduce(lambda x, y: kronecker(x, y, BYTE_RING), self.factors)
 
     @cached_property
     def inverse(self) -> RingMatrix:
         """K^-1 = F_1^-1 (x) ... (x) F_k^-1."""
-        return _reduce(lambda x, y: kronecker(x, y, self.ring), self.inverse_factors)
+        return _reduce(lambda x, y: kronecker(x, y, BYTE_RING), self.inverse_factors)
 
     @cached_property
     def inverse_factors(self) -> Tuple[RingMatrix, ...]:
         """F_1^-1 .. F_k^-1, which :func:`decrypt_stream` applies."""
-        return tuple(invert(f, self.ring) for f in self.factors)
+        return tuple(invert(f, BYTE_RING) for f in self.factors)
 
     @classmethod
-    def from_matrix(cls, forward: RingMatrix, ring: RingParams = BYTE_RING) -> "HillKey":
+    def from_matrix(cls, forward: RingMatrix) -> "HillKey":
         """Wrap an explicit matrix as a one-factor key (raises if singular)."""
-        if not is_invertible(forward, ring):
-            raise NotInvertibleError(f"matrix not a unit mod 2^{ring.m}")
-        return cls(ring=ring, factors=(forward,))
+        if not is_invertible(forward, BYTE_RING):
+            raise NotInvertibleError("matrix not a unit mod 2^8")
+        return cls(factors=(forward,))
 
 
 def derive_key(seed: bytes, dim_log2: int) -> HillKey:
@@ -122,28 +121,26 @@ def derive_key(seed: bytes, dim_log2: int) -> HillKey:
             if (a * d - b * c) & 1:
                 factors.append(RingMatrix(((a, b), (c, d))))
                 if len(factors) == dim_log2:
-                    return HillKey(ring=BYTE_RING, factors=tuple(factors))
+                    return HillKey(factors=tuple(factors))
 
 
 def random_seed(rng: Optional[random.Random] = None) -> bytes:
     """Fresh 32-byte session seed, from ``secrets`` unless an rng is given."""
-    if rng is None:
-        return secrets.token_bytes(SEED_LEN)
-    return rng.randbytes(SEED_LEN)
+    return (rng or secrets.SystemRandom()).randbytes(SEED_LEN)
 
 
 def encrypt_block(key: HillKey, m: Block) -> Block:
     """C = K * M mod 256 for a single block."""
     if m.dim != key.dim:
         raise DimensionError(f"block dim {m.dim} does not match key dim {key.dim}")
-    return mat_vec(key.forward, m, key.ring)
+    return mat_vec(key.forward, m, BYTE_RING)
 
 
 def decrypt_block(key: HillKey, c: Block) -> Block:
     """M = K^-1 * C mod 256 for a single block."""
     if c.dim != key.dim:
         raise DimensionError(f"block dim {c.dim} does not match key dim {key.dim}")
-    return mat_vec(key.inverse, c, key.ring)
+    return mat_vec(key.inverse, c, BYTE_RING)
 
 
 def pad(data: bytes, block_len: int) -> bytes:
@@ -202,23 +199,12 @@ def _apply(
     byte position: with the positions of a chunk laid out as n contiguous
     byte planes, viewed as (outer, m_t, inner), it mixes the m_t planes of
     each group.  The chunk's rows of ``out`` (C-contiguous) serve as the
-    second plane buffer, so the kernel allocates 1.5 chunks.  A one-factor
-    key needs no planes: it mixes the strided block columns directly,
-    which for the 2x2 key is faster than a transpose there and back.
+    second plane buffer, so the kernel allocates 1.5 chunks.
     """
     total, n = out.shape
     step = CHUNK_BYTES // n
     size = min(step, total) * n
     tmp = np.empty(size // 2, dtype=np.uint8)
-    if len(factors) == 1:
-        (f,) = factors
-        for lo in range(0, len(blocks), step):
-            x = blocks[lo : lo + step].T
-            y = out[lo : lo + x.shape[1]].T
-            _mix(f, x[None], y[None], tmp[: x.shape[1]][None])
-        if tail is not None:
-            _mix(f, tail.reshape(1, n, 1), out[-1:].T[None], tmp[:1][None])
-        return
     own = np.empty(size, dtype=np.uint8)
     for lo in range(0, total, step):
         rows = out[lo : lo + step]

@@ -101,11 +101,9 @@ def is_probable_prime(
     while d % 2 == 0:
         d //= 2
         r += 1
+    rng = rng or secrets.SystemRandom()
     for _ in range(rounds):
-        if rng is None:
-            a = 2 + secrets.randbelow(n - 3)
-        else:
-            a = rng.randrange(2, n - 1)
+        a = rng.randrange(2, n - 1)
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -121,11 +119,9 @@ def is_probable_prime(
 def _random_prime(bits: int, rng: Optional[random.Random]) -> int:
     # Top two bits set so the product of two such primes has exactly
     # 2*bits bits; low bit set for oddness.
+    rng = rng or secrets.SystemRandom()
     while True:
-        if rng is None:
-            cand = secrets.randbits(bits)
-        else:
-            cand = rng.getrandbits(bits)
+        cand = rng.getrandbits(bits)
         cand |= (1 << (bits - 1)) | (1 << (bits - 2)) | 1
         if is_probable_prime(cand, rng=rng):
             return cand
@@ -172,10 +168,10 @@ def keygen(
 
 
 def _nonzero_bytes(count: int, rng: Optional[random.Random]) -> bytes:
+    rng = rng or secrets.SystemRandom()
     out = bytearray()
     while len(out) < count:
-        chunk = rng.randbytes(count - len(out)) if rng else secrets.token_bytes(count - len(out))
-        out += chunk.replace(b"\x00", b"")
+        out += rng.randbytes(count - len(out)).replace(b"\x00", b"")
     return bytes(out)
 
 

@@ -304,7 +304,12 @@ class TransferServer:
         try:
             self._session(stream)
         except (HcieError, OSError, ValueError) as exc:
-            reason = exc.reason if isinstance(exc, HcieError) else "internal error"
+            if isinstance(exc, HcieError):
+                reason = exc.reason
+            elif isinstance(exc, TimeoutError):  # the peer stalled
+                reason = "timeout"
+            else:
+                reason = "internal error"
             logger.info("connection from %s failed: %s", addr, exc)
             try:
                 write_frame(stream, Frame(FrameKind.ERR, reason.encode("utf-8")))

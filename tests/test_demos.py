@@ -20,8 +20,10 @@ def test_demos_are_numbered_01_to_07():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda demo: demo.stem)
 def test_demo_exits_cleanly(demo, tmp_path):
-    # TMPDIR keeps the demos' scratch directories inside tmp_path
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
+    # each demo gets its own empty TMPDIR and must leave it empty
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmpdir))
     proc = subprocess.run(
         [sys.executable, str(demo)],
         cwd=tmp_path,
@@ -31,6 +33,7 @@ def test_demo_exits_cleanly(demo, tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert list(tmpdir.iterdir()) == []
 
 
 def test_traced_layers_resolve():

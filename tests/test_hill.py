@@ -290,7 +290,7 @@ class TestKernel:
         for length in (chunk - n - 1, chunk - n, chunk - 1, chunk, chunk + n, 2 * chunk + n - 1):
             assert_matches_dense(key, rng.randbytes(length))
 
-    @pytest.mark.parametrize("n", [2, 3, 16])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 16])
     def test_ad_hoc_key_matches_dense(self, n):
         rng = random.Random(300 + n)
         key = HillKey.from_matrix(ring.random_invertible(n, BYTE_RING, rng))

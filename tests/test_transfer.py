@@ -406,11 +406,13 @@ class TestLoopback:
             transfer.write_frame(stream, Frame(FrameKind.HELLO, transfer.HELLO_PAYLOAD))
             assert transfer.read_frame(stream).kind == FrameKind.OK
             start = time.monotonic()
-            rest = stream.read()  # send nothing more: ERR then close, or just close
+            err = transfer.read_frame(stream)  # send nothing more: ERR, then close
+            rest = stream.read()
             elapsed = time.monotonic() - start
             stream.close()
         assert elapsed < 5.0
-        assert rest == b"" or rest[0] == FrameKind.ERR
+        assert err == Frame(FrameKind.ERR, b"timeout")
+        assert rest == b""
         assert list(out_dir.iterdir()) == []
 
     def test_resend_of_a_255_byte_name_is_refused(
@@ -479,6 +481,7 @@ ERR_REASONS = [
     ),
     pytest.param(errors.TransferError("ack", "x"), "internal error", id="TransferError"),
     pytest.param(errors.BenchVerificationError("x"), "internal error", id="BenchVerificationError"),
+    pytest.param(TimeoutError("timed out"), "timeout", id="TimeoutError"),
     pytest.param(OSError("x"), "internal error", id="OSError"),
     pytest.param(ValueError("x"), "internal error", id="ValueError"),
     # has a .reason of its own, which must not reach the wire
