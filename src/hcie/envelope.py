@@ -14,6 +14,12 @@ implementation produces identical bytes:
 
 Opening never returns partial plaintext: every check (decapsulation,
 padding, recorded length, signature, sender fingerprint) must pass first.
+
+The ciphertext of a sealed :class:`Envelope` is the ``bytearray`` the Hill
+kernel wrote; that of a parsed one is a read-only ``memoryview`` into the
+bytes given to :func:`parse`, so the envelope keeps those bytes alive.
+:func:`open_envelope` returns the plaintext as the ``bytearray`` it was
+decrypted into.
 """
 
 from __future__ import annotations
@@ -99,7 +105,7 @@ def seal(
 
 def open_envelope(
     env: Envelope, recipient: rsa.RsaPrivateKey, sender_pub: rsa.RsaPublicKey
-) -> bytes:
+) -> bytearray:
     """Open a sealed envelope, or raise; never returns partial plaintext.
 
     Failure causes stay distinguishable by exception type: decapsulation,
@@ -133,14 +139,16 @@ def serialize(env: Envelope) -> bytes:
     return b"".join(parts)
 
 
-def _take(data: bytes, offset: int, count: int, what: str) -> bytes:
+def _take(data: memoryview, offset: int, count: int, what: str) -> bytes:
     if offset + count > len(data):
         raise EnvelopeFormatError(f"truncated {what}")
-    return data[offset : offset + count]
+    return bytes(data[offset : offset + count])
 
 
 def parse(data: bytes) -> Envelope:
-    """Parse a serialized envelope, with a distinct error per defect."""
+    """Parse any bytes-like serialized envelope, with a distinct error per
+    defect.  The ciphertext is a read-only view into ``data``, not a copy."""
+    data = memoryview(data).toreadonly().cast("B")
     head = _take(data, 0, _HEADER.size, "header")
     magic, version, dim_log2, reserved, fingerprint = _HEADER.unpack(head)
     if magic != MAGIC:

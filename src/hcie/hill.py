@@ -232,34 +232,38 @@ def _apply(
             rows[:, j] = plane
 
 
-def encrypt_stream(key: HillKey, plaintext: bytes) -> bytes:
+def encrypt_stream(key: HillKey, plaintext: bytes) -> bytearray:
     """Pad and encrypt a byte string block by block (ECB over blocks).
 
     Bytes map to ring elements by identity and block position i is vector
     row i.  The whole blocks are read in place; only the last, padded
-    block is a copy.
+    block is a copy.  The kernel writes straight into the returned buffer.
     """
     n = key.dim
     full = len(plaintext) // n
     body = np.frombuffer(plaintext, dtype=np.uint8, count=full * n).reshape(full, n)
     tail = np.frombuffer(pad(plaintext[full * n :], n), dtype=np.uint8)
-    out = np.empty((full + 1, n), dtype=np.uint8)
-    _apply(key.factors, body, out, tail)
-    return out.tobytes()
+    buf = bytearray((full + 1) * n)
+    _apply(key.factors, body, np.frombuffer(buf, dtype=np.uint8).reshape(-1, n), tail)
+    return buf
 
 
-def decrypt_stream(key: HillKey, ciphertext: bytes) -> bytes:
-    """Invert :func:`encrypt_stream`: per-block decrypt, then unpad."""
+def decrypt_stream(key: HillKey, ciphertext: bytes) -> bytearray:
+    """Invert :func:`encrypt_stream` on any bytes-like ``ciphertext``, read in
+    place: per-block decrypt into the returned buffer, then unpad."""
     n = key.dim
     if len(ciphertext) == 0 or len(ciphertext) % n != 0:
         raise DimensionError(
             f"ciphertext length {len(ciphertext)} is not a positive multiple of {n}"
         )
     blocks = np.frombuffer(ciphertext, dtype=np.uint8).reshape(-1, n)
-    out = np.empty_like(blocks)
+    buf = bytearray(len(ciphertext))
+    out = np.frombuffer(buf, dtype=np.uint8).reshape(-1, n)
     _apply(key.inverse_factors, blocks, out)
-    last = unpad(out[-1].tobytes(), n)
-    return out.reshape(-1)[: out.size - n + len(last)].tobytes()
+    del out  # a bytearray with an exported buffer cannot be resized
+    last = unpad(buf[-n:], n)
+    del buf[len(buf) - n + len(last) :]
+    return buf
 
 
 def recover_key_known_plaintext(

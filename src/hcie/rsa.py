@@ -262,16 +262,25 @@ def sign(priv: RsaPrivateKey, message: bytes) -> Signature:
     return Signature(_private(priv, digest))
 
 
-def verify(pub: RsaPublicKey, message: bytes, sig: Signature) -> bool:
-    """True iff sig^e mod n equals the message digest.  Total: malformed
-    signatures return False, they never raise."""
+def signed_digest(pub: RsaPublicKey, sig: Signature) -> Optional[bytes]:
+    """The 32-byte digest a signature carries, sig^e mod n, or None if it
+    carries none.  Once :func:`verify` has accepted ``sig`` for a message,
+    this is that message's SHA-256, for one public operation."""
     try:
         value = sig.value
         if not isinstance(value, int) or not 0 <= value < pub.n:
-            return False
-        return pow(value, pub.e, pub.n) == int.from_bytes(sha256(message), "big")
+            return None
+        digest = pow(value, pub.e, pub.n)
     except (AttributeError, TypeError):
-        return False
+        return None
+    return digest.to_bytes(32, "big") if digest < 1 << 256 else None
+
+
+def verify(pub: RsaPublicKey, message: bytes, sig: Signature) -> bool:
+    """True iff sig^e mod n equals the message digest.  Total: malformed
+    signatures return False, they never raise."""
+    digest = signed_digest(pub, sig)
+    return digest is not None and digest == sha256(message)
 
 
 def serialize_key(key: Union[RsaPublicKey, RsaPrivateKey]) -> bytes:

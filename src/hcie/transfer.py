@@ -122,6 +122,7 @@ def encode_file_payload(name: str, envelope_bytes: bytes) -> bytes:
 
 
 def decode_file_payload(payload: bytes) -> tuple:
+    """(name, envelope bytes); the envelope bytes are a view into ``payload``."""
     if len(payload) < 2:
         raise ProtocolError("FILE payload too short")
     (name_len,) = struct.unpack(">H", payload[:2])
@@ -132,7 +133,13 @@ def decode_file_payload(payload: bytes) -> tuple:
     except UnicodeDecodeError:
         raise ProtocolError("filename is not valid UTF-8") from None
     validate_filename(name)
-    return name, payload[2 + name_len :]
+    return name, memoryview(payload)[2 + name_len :]
+
+
+def _signed_digest(env: envelope_mod.Envelope, sender_pub: rsa.RsaPublicKey) -> bytes:
+    """The plaintext's SHA-256 once ``env``'s signature is known to be valid,
+    for one public operation instead of a second pass over the plaintext."""
+    return rsa.signed_digest(sender_pub, rsa.Signature(int.from_bytes(env.signature, "big")))
 
 
 def send_file(
@@ -147,9 +154,9 @@ def send_file(
 ) -> AckPayload:
     """Seal a file and push it to a listening server.
 
-    Returns the server's ACK after checking its digest against the local
-    plaintext hash; any deviation raises :class:`TransferError` whose
-    ``stage`` names the failing step.
+    Returns the server's ACK after checking its digest against the
+    plaintext hash the local signature carries; any deviation raises
+    :class:`TransferError` whose ``stage`` names the failing step.
     """
     path = Path(path)
     plaintext = path.read_bytes()
@@ -175,7 +182,7 @@ def send_file(
             ack = AckPayload.decode(reply.payload)
             if ack.status != 0:
                 raise TransferError("ack", f"server reported status {ack.status}")
-            if ack.digest != rsa.sha256(plaintext):
+            if ack.digest != _signed_digest(env, sender_pub):
                 raise TransferError("digest", "server digest does not match local plaintext")
             return ack
         finally:
@@ -341,5 +348,6 @@ class TransferServer:
         plaintext = envelope_mod.open_envelope(env, self._recipient_priv, sender_pub)
         target = _write_atomic(self._out_dir, name, plaintext)
         logger.info("received %d bytes into %s", len(plaintext), target)
-        write_frame(stream, Frame(FrameKind.ACK, AckPayload(0, rsa.sha256(plaintext)).encode()))
+        ack = AckPayload(0, _signed_digest(env, sender_pub))
+        write_frame(stream, Frame(FrameKind.ACK, ack.encode()))
 

@@ -1,0 +1,133 @@
+"""The payload buffer path: the Hill kernel fills the buffer it returns,
+``parse`` and the receiver read the ciphertext in place, and each stays
+correct against the dense-matmul oracle at every length that matters."""
+
+import random
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from hcie import envelope, hill, rsa, transfer
+
+from test_hill import dense
+
+MIB = 1 << 20
+
+
+def lengths(n):
+    """0 .. 3n+1, then ciphertexts one block either side of one and two
+    kernel chunks, each with one byte and with a whole block of padding."""
+    chunk = hill.CHUNK_BYTES // n * n
+    edges = [chunk - n, chunk + n, 2 * chunk - n, 2 * chunk + n]
+    return [*range(3 * n + 2), *(ct - pad for ct in edges for pad in (1, n))]
+
+
+def sealed(recipient_pair, sender_pair, payload, dim_log2, seed=0):
+    pub, _ = recipient_pair
+    spub, spriv = sender_pair
+    return envelope.seal(payload, pub, spriv, spub, random.Random(seed), dim_log2)
+
+
+def as_memoryview(blob):
+    # a view that does not start at its buffer's first byte
+    return memoryview(b"xx" + blob)[2:]
+
+
+class TestViews:
+    def test_parse_ciphertext_shares_memory_with_data(self, recipient_pair, sender_pair):
+        blob = envelope.serialize(sealed(recipient_pair, sender_pair, bytes(5000), 4))
+        env = envelope.parse(blob)
+        assert isinstance(env.ciphertext, memoryview) and env.ciphertext.readonly
+        assert np.shares_memory(
+            np.frombuffer(env.ciphertext, dtype=np.uint8), np.frombuffer(blob, dtype=np.uint8)
+        )
+        assert env.ciphertext == blob[-len(env.ciphertext) :]
+
+    def test_decode_file_payload_shares_memory(self):
+        payload = transfer.encode_file_payload("a.bin", b"envelope bytes")
+        name, body = transfer.decode_file_payload(payload)
+        assert name == "a.bin" and body == b"envelope bytes"
+        assert np.shares_memory(
+            np.frombuffer(body, dtype=np.uint8), np.frombuffer(payload, dtype=np.uint8)
+        )
+
+    def test_buffer_types(self, recipient_pair, sender_pair):
+        env = sealed(recipient_pair, sender_pair, b"types", 4)
+        assert type(env.ciphertext) is bytearray
+        _, priv = recipient_pair
+        spub, _ = sender_pair
+        assert type(envelope.open_envelope(env, priv, spub)) is bytearray
+        key = hill.derive_key(bytes(32), 1)
+        assert type(hill.encrypt_stream(key, b"abc")) is bytearray
+        assert type(hill.decrypt_stream(key, hill.encrypt_stream(key, b"abc"))) is bytearray
+
+    def test_returned_plaintext_is_resizable(self):
+        # no numpy view of the buffer outlives decrypt_stream
+        key = hill.derive_key(bytes(32), 4)
+        plaintext = hill.decrypt_stream(key, hill.encrypt_stream(key, bytes(100)))
+        plaintext += b"!"
+        assert plaintext == bytes(100) + b"!"
+
+    @pytest.mark.parametrize("convert", [bytes, bytearray, as_memoryview],
+                             ids=["bytes", "bytearray", "memoryview"])
+    def test_parse_and_open_accept_any_bytes_like(self, convert, recipient_pair, sender_pair):
+        _, priv = recipient_pair
+        spub, _ = sender_pair
+        payload = random.Random(7).randbytes(4097)
+        blob = envelope.serialize(sealed(recipient_pair, sender_pair, payload, 4))
+        env = envelope.parse(convert(blob))
+        assert env == envelope.parse(blob)
+        assert envelope.open_envelope(env, priv, spub) == payload
+        assert envelope.serialize(env) == blob
+
+
+@pytest.mark.parametrize("s", [1, 4, 6])
+def test_open_envelope_matches_dense_oracle(s, recipient_pair, sender_pair):
+    # decrypt_stream alone is checked at these lengths by test_hill's TestKernel
+    _, priv = recipient_pair
+    spub, _ = sender_pair
+    rng = random.Random(500 + s)
+    n = 1 << s
+    for length in lengths(n):
+        payload = rng.randbytes(length)
+        env = envelope.parse(
+            envelope.serialize(sealed(recipient_pair, sender_pair, payload, s, length))
+        )
+        key = hill.derive_key(rsa.decrypt_seed(priv, env.encapsulated_seed), s)
+        assert hill.unpad(dense(key.inverse, env.ciphertext), n) == payload
+        assert envelope.open_envelope(env, priv, spub) == payload
+
+
+def peak_per_byte(fn, *args):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize("s", [1, 4])
+class TestPeakMemory:
+    """One payload-sized buffer per call, plus the kernel's 1.5 chunks."""
+
+    def test_open_of_parsed_bytes(self, s, recipient_pair, sender_pair):
+        _, priv = recipient_pair
+        spub, _ = sender_pair
+        payload = random.Random(600 + s).randbytes(2 * MIB)
+        data = envelope.serialize(sealed(recipient_pair, sender_pair, payload, s))
+        plaintext, peak = peak_per_byte(
+            lambda: envelope.open_envelope(envelope.parse(data), priv, spub)
+        )
+        assert plaintext == payload
+        assert peak <= 1.3 * len(payload)
+
+    def test_encrypt_stream(self, s):
+        payload = random.Random(700 + s).randbytes(2 * MIB)
+        key = hill.derive_key(bytes(32), s)
+        ct, peak = peak_per_byte(hill.encrypt_stream, key, payload)
+        assert hill.decrypt_stream(key, ct) == payload
+        assert peak <= 1.3 * len(payload)

@@ -6,6 +6,8 @@ import importlib.util
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -36,14 +38,19 @@ def test_demo_exits_cleanly(demo, tmp_path):
     assert list(tmpdir.iterdir()) == []
 
 
-def test_traced_layers_resolve():
-    # perfbench/tracing.py wraps these attributes by name; a rename in the
-    # package would otherwise only show when the benchmark runs
+def load_tracing():
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
     )
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_layers_resolve():
+    # perfbench/tracing.py wraps these attributes by name; a rename in the
+    # package would otherwise only show when the benchmark runs
+    tracing = load_tracing()
     layers = (*tracing.SENDER_LAYERS, *tracing.RECEIVER_LAYERS)
     assert layers
     for name, module, attr, _ in layers:
@@ -51,3 +58,40 @@ def test_traced_layers_resolve():
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert callable(owner), name
+
+
+def test_every_traced_layer_records_a_span(recipient_pair, sender_pair, tmp_path):
+    # the traced benchmark reports every layer and fails on one without spans
+    from hcie import envelope, hill, rsa, transfer
+
+    tracing = load_tracing()
+    pub, priv = recipient_pair
+    spub, spriv = sender_pair
+    layers = dict.fromkeys((*tracing.SENDER_LAYERS, *tracing.RECEIVER_LAYERS))
+    modules = {"hill": hill, "rsa": rsa, "envelope": envelope, "transfer": transfer}
+    (tmp_path / "inbox").mkdir()
+    (tmp_path / "traced.bin").write_bytes(b"traced payload" * 100)
+    tracer = tracing.Tracer()
+    tracer.install(modules, layers)
+    try:
+        env = envelope.seal(b"traced payload", pub, spriv, spub, dim_log2=2)
+        plaintext = envelope.open_envelope(envelope.parse(envelope.serialize(env)), priv, spub)
+        assert plaintext == b"traced payload"
+        srv = transfer.TransferServer(0, priv, {rsa.fingerprint(spub): spub}.get,
+                                      tmp_path / "inbox", host="127.0.0.1")
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        try:
+            transfer.send_file("127.0.0.1", srv.port, tmp_path / "traced.bin", pub, spriv, spub)
+            # the session's span lands just after its ACK is written
+            deadline = time.monotonic() + 10
+            while not any(span[0] == "transfer.TransferServer._session"
+                          for span in tracer.spans) and time.monotonic() < deadline:
+                time.sleep(0.01)
+        finally:
+            srv.shutdown()
+            thread.join(timeout=5)
+    finally:
+        tracer.uninstall()
+    recorded = {span[0] for span in tracer.spans}
+    assert [name for name, *_ in layers if name not in recorded] == []

@@ -287,7 +287,8 @@ class TestKernel:
         key = hill.derive_key(rng.randbytes(32), s)
         n = key.dim
         chunk = hill.CHUNK_BYTES // n * n
-        for length in (chunk - n - 1, chunk - n, chunk - 1, chunk, chunk + n, 2 * chunk + n - 1):
+        for length in (chunk - n - 1, chunk - n, chunk - 1, chunk, chunk + n, 2 * chunk - n,
+                       2 * chunk + n - 1):
             assert_matches_dense(key, rng.randbytes(length))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 16])

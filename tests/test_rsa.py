@@ -240,6 +240,23 @@ class TestSignatures:
         sig = rsa.sign(priv, msg)
         assert slow_pow(sig.value, pub.e, pub.n) == int.from_bytes(ref_sha256(msg), "big")
 
+    def test_signed_digest_is_the_message_hash(self, sender_pair):
+        pub, priv = sender_pair
+        for msg in (b"", b"carried digest", bytes(range(256)) * 40):
+            assert rsa.signed_digest(pub, rsa.sign(priv, msg)) == ref_sha256(msg)
+
+    def test_signed_digest_is_total(self, sender_pair, other_pair):
+        pub, priv = sender_pair
+        wrong_pub, _ = other_pair
+        assert rsa.signed_digest(pub, rsa.Signature(pub.n)) is None
+        assert rsa.signed_digest(pub, rsa.Signature(-1)) is None
+        assert rsa.signed_digest(pub, rsa.Signature("7")) is None
+        assert rsa.signed_digest(pub, None) is None
+        # 2^e mod n is far wider than a digest, so it carries none
+        assert rsa.signed_digest(pub, rsa.Signature(2)) is None
+        assert rsa.signed_digest(pub, rsa.Signature(0)) == bytes(32)
+        assert rsa.signed_digest(wrong_pub, rsa.sign(priv, b"x")) != ref_sha256(b"x")
+
 
 @pytest.fixture(scope="module", params=[512, 1024, 2048])
 def sized_pair(request):

@@ -226,6 +226,24 @@ class TestLoopback:
         assert ack.digest == rsa.sha256(data)
         assert (out_dir / "note.txt").read_bytes() == data
 
+    def test_one_hash_of_the_plaintext_per_side(
+        self, server, recipient_pair, sender_pair, tmp_path, monkeypatch
+    ):
+        # sign hashes it on the sender, verify on the receiver; both ACK
+        # digests come from the signature
+        srv, out_dir = server
+        pub, _ = recipient_pair
+        spub, spriv = sender_pair
+        data = random.Random(41).randbytes(100_000)
+        (tmp_path / "once.bin").write_bytes(data)
+        hashed = []
+        real_sha256 = rsa.sha256
+        monkeypatch.setattr(rsa, "sha256", lambda m: hashed.append(len(m)) or real_sha256(m))
+        ack = transfer.send_file("127.0.0.1", srv.port, tmp_path / "once.bin", pub, spriv, spub)
+        assert ack.digest == real_sha256(data)
+        assert (out_dir / "once.bin").read_bytes() == data
+        assert hashed.count(len(data)) == 2
+
     def test_empty_file(self, server, recipient_pair, sender_pair, tmp_path):
         srv, out_dir = server
         pub, _ = recipient_pair
