@@ -43,13 +43,15 @@ except DecapsulationError as exc:
 # --- signatures over digests -------------------------------------------------
 message = b"wire me fifty dollars, love alice"
 signature = rsa.sign(priv, message)
-print("\nsig value bits:", signature.value.bit_length())
+print("\nsignature width == modulus width:", len(signature) == pub.byte_length())
 print("verify(original):", rsa.verify(pub, message, signature))
 print("verify(tampered):", rsa.verify(pub, message.replace(b"fifty", b"9,999"), signature))
 
-# The signature is the digest raised to d; anyone can check with e:
+# The signature is the digest raised to d, written as k big-endian bytes;
+# anyone can check it with e:
+sig_int = int.from_bytes(signature, "big")
 digest = int.from_bytes(rsa.sha256(message), "big")
-print("sig^e mod n == sha256(message):", pow(signature.value, pub.e, pub.n) == digest)
+print("sig^e mod n == sha256(message):", pow(sig_int, pub.e, pub.n) == digest)
 
 # --- key files and fingerprints ----------------------------------------------
 blob = rsa.serialize_key(pub)

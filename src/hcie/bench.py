@@ -28,7 +28,6 @@ from . import envelope as envelope_mod
 from . import hill, rsa
 from .errors import BenchVerificationError, DecapsulationError
 
-SCHEMES = ("hill_only", "rsa_only", "hybrid")
 CSV_HEADER = ["scheme", "payload_bytes", "elapsed_seconds", "throughput_mb_s"]
 MIN_PAYLOAD = 1024
 

@@ -77,8 +77,7 @@ def cmd_open(args) -> int:
 def cmd_sign(args) -> int:
     priv = _load_private(args.key)
     message = Path(args.infile).read_bytes()
-    sig = rsa.sign(priv, message)
-    Path(args.out).write_bytes(sig.value.to_bytes(priv.byte_length(), "big"))
+    Path(args.out).write_bytes(rsa.sign(priv, message))
     print(f"signed {args.infile} into {args.out}")
     return 0
 
@@ -86,8 +85,7 @@ def cmd_sign(args) -> int:
 def cmd_verify(args) -> int:
     pub = _load_public(args.key)
     message = Path(args.infile).read_bytes()
-    sig = rsa.Signature(int.from_bytes(Path(args.sig).read_bytes(), "big"))
-    if not rsa.verify(pub, message, sig):
+    if not rsa.verify(pub, message, Path(args.sig).read_bytes()):
         print("error: signature verification failed", file=sys.stderr)
         return 2
     print("signature OK")

@@ -12,6 +12,7 @@ implementation produces identical bytes:
     | sig_len u32 | signature
     | plaintext_len u64 | ct_len u64 | ciphertext
 
+The seed and signature fields hold the bytes :mod:`rsa` returns, unchanged.
 Opening never returns partial plaintext: every check (decapsulation,
 padding, recorded length, signature, sender fingerprint) must pass first.
 
@@ -45,7 +46,6 @@ _HEADER = struct.Struct(">4sBBH32s")
 
 @dataclass(frozen=True)
 class Envelope:
-    version: int
     dim_log2: int
     sender_fingerprint: bytes
     encapsulated_seed: bytes
@@ -54,8 +54,6 @@ class Envelope:
     ciphertext: bytes
 
     def __post_init__(self):
-        if self.version != VERSION:
-            raise EnvelopeFormatError(f"unsupported version {self.version}")
         if not hill.MIN_DIM_LOG2 <= self.dim_log2 <= hill.MAX_DIM_LOG2:
             raise EnvelopeFormatError(f"dim_log2 {self.dim_log2} out of range")
         if len(self.sender_fingerprint) != 32:
@@ -90,14 +88,11 @@ def seal(
     key = hill.derive_key(seed, dim_log2)
     ciphertext = hill.encrypt_stream(key, plaintext)
     encapsulated = rsa.encrypt_seed(recipient, seed, rng)
-    signature = rsa.sign(sender, plaintext)
-    sig_bytes = signature.value.to_bytes(sender.byte_length(), "big")
     return Envelope(
-        version=VERSION,
         dim_log2=dim_log2,
         sender_fingerprint=rsa.fingerprint(sender_pub),
         encapsulated_seed=encapsulated,
-        signature=sig_bytes,
+        signature=rsa.sign(sender, plaintext),
         plaintext_len=len(plaintext),
         ciphertext=ciphertext,
     )
@@ -118,8 +113,7 @@ def open_envelope(
         raise PlaintextLengthError(
             f"recovered {len(plaintext)} bytes, envelope records {env.plaintext_len}"
         )
-    sig = rsa.Signature(int.from_bytes(env.signature, "big"))
-    if not rsa.verify(sender_pub, plaintext, sig):
+    if not rsa.verify(sender_pub, plaintext, env.signature):
         raise SignatureError("signature verification failed")
     if env.sender_fingerprint != rsa.fingerprint(sender_pub):
         raise FingerprintMismatchError("sender fingerprint mismatch")
@@ -128,7 +122,7 @@ def open_envelope(
 
 def serialize(env: Envelope) -> bytes:
     parts = [
-        _HEADER.pack(MAGIC, env.version, env.dim_log2, 0, env.sender_fingerprint),
+        _HEADER.pack(MAGIC, VERSION, env.dim_log2, 0, env.sender_fingerprint),
         struct.pack(">I", len(env.encapsulated_seed)),
         env.encapsulated_seed,
         struct.pack(">I", len(env.signature)),
@@ -179,7 +173,6 @@ def parse(data: bytes) -> Envelope:
     ciphertext = data[offset:]
 
     return Envelope(
-        version=version,
         dim_log2=dim_log2,
         sender_fingerprint=fingerprint,
         encapsulated_seed=encapsulated,

@@ -21,6 +21,8 @@ from .errors import DimensionError, NotInvertibleError
 #: Hard cap on matrix dimension.  Tensor towers grow as 2^s; the cap keeps a
 #: miscounted exponent from allocating a gigantic matrix.
 MAX_DIM = 256
+#: Draws random_invertible makes before giving up.
+_MAX_DRAWS = 1000
 
 
 @dataclass(frozen=True)
@@ -235,17 +237,15 @@ def _invert_gauss(a: RingMatrix, ring: RingParams) -> RingMatrix:
     return RingMatrix(tuple(tuple(row[n:]) for row in work))
 
 
-def kronecker(
-    a: RingMatrix, b: RingMatrix, ring: RingParams, max_dim: int = MAX_DIM
-) -> RingMatrix:
+def kronecker(a: RingMatrix, b: RingMatrix, ring: RingParams) -> RingMatrix:
     """Kronecker product a (x) b: block (i, j) of the result is a[i][j] * b.
 
     The result has dimension ``a.dim * b.dim`` and preserves invertibility
     multiplicatively: det(a (x) b) = det(a)^dim(b) * det(b)^dim(a).
     """
     n = a.dim * b.dim
-    if n > max_dim:
-        raise DimensionError(f"Kronecker product dimension {n} exceeds maximum {max_dim}")
+    if n > MAX_DIM:
+        raise DimensionError(f"Kronecker product dimension {n} exceeds maximum {MAX_DIM}")
     mask = ring.mask
     rows = []
     for arow in a.rows:
@@ -262,16 +262,14 @@ def random_matrix(dim: int, ring: RingParams, rng: random.Random) -> RingMatrix:
     )
 
 
-def random_invertible(
-    dim: int, ring: RingParams, rng: random.Random, max_tries: int = 1000
-) -> RingMatrix:
+def random_invertible(dim: int, ring: RingParams, rng: random.Random) -> RingMatrix:
     """Rejection-sample a random invertible matrix.
 
     A uniform matrix is invertible with probability > 0.288 (the density of
     GL(n, 2)), so this terminates almost immediately.
     """
-    for _ in range(max_tries):
+    for _ in range(_MAX_DRAWS):
         cand = random_matrix(dim, ring, rng)
         if is_invertible(cand, ring):
             return cand
-    raise RuntimeError(f"no invertible matrix found in {max_tries} draws")
+    raise RuntimeError(f"no invertible matrix found in {_MAX_DRAWS} draws")

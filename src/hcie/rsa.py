@@ -4,7 +4,8 @@ Deliberately educational-grade.  Encapsulation uses v1.5-style random
 padding and signatures are raw modular exponentiation of a SHA-256 digest;
 there is no OAEP, no PSS, and nothing here is constant time.  The hybrid
 layer only ever pushes a 32-byte session seed and a digest through these
-primitives.
+primitives.  Encapsulated seeds and signatures leave and enter this module
+as modulus-width big-endian bytes; no other module converts them to integers.
 
 Key generation draws primes at ``bits/2`` with 40 Miller-Rabin rounds and
 uses the Carmichael function lcm(p-1, q-1) for the private exponent.  Every
@@ -76,17 +77,8 @@ class RsaPrivateKey:
         return self.d % (self.p - 1), self.d % (self.q - 1), pow(self.q, -1, self.p)
 
 
-@dataclass(frozen=True)
-class Signature:
-    """A signature is one integer: sha256(message) raised to d mod n."""
-
-    value: int
-
-
-def is_probable_prime(
-    n: int, rounds: int = MILLER_RABIN_ROUNDS, rng: Optional[random.Random] = None
-) -> bool:
-    """Miller-Rabin primality test with random bases.
+def is_probable_prime(n: int, rng: Optional[random.Random] = None) -> bool:
+    """Miller-Rabin primality test with MILLER_RABIN_ROUNDS random bases.
 
     Each round catches a composite with probability >= 3/4, so 40 rounds
     leave a false-prime chance below 2^-80.
@@ -102,7 +94,7 @@ def is_probable_prime(
         d //= 2
         r += 1
     rng = rng or secrets.SystemRandom()
-    for _ in range(rounds):
+    for _ in range(MILLER_RABIN_ROUNDS):
         a = rng.randrange(2, n - 1)
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -250,8 +242,9 @@ def decrypt_seed(priv: RsaPrivateKey, ct: bytes) -> bytes:
     return seed
 
 
-def sign(priv: RsaPrivateKey, message: bytes) -> Signature:
-    """Sign a message: the SHA-256 digest, big-endian, raised to d mod n.
+def sign(priv: RsaPrivateKey, message: bytes) -> bytes:
+    """Sign a message: the SHA-256 digest, big-endian, raised to d mod n,
+    returned as exactly ``priv.byte_length()`` big-endian bytes.
 
     Raises :class:`RsaFaultError`, and releases no signature, if the
     private-key operation fails its check.
@@ -259,26 +252,25 @@ def sign(priv: RsaPrivateKey, message: bytes) -> Signature:
     if priv.n <= (1 << 256):
         raise ValueError("modulus too small to sign a 256-bit digest")
     digest = int.from_bytes(sha256(message), "big")
-    return Signature(_private(priv, digest))
+    return _private(priv, digest).to_bytes(priv.byte_length(), "big")
 
 
-def signed_digest(pub: RsaPublicKey, sig: Signature) -> Optional[bytes]:
+def signed_digest(pub: RsaPublicKey, sig: bytes) -> Optional[bytes]:
     """The 32-byte digest a signature carries, sig^e mod n, or None if it
     carries none.  Once :func:`verify` has accepted ``sig`` for a message,
-    this is that message's SHA-256, for one public operation."""
-    try:
-        value = sig.value
-        if not isinstance(value, int) or not 0 <= value < pub.n:
-            return None
-        digest = pow(value, pub.e, pub.n)
-    except (AttributeError, TypeError):
+    this is that message's SHA-256, for one public operation.  ``sig`` is
+    any bytes-like value read as a big-endian integer; one that is not
+    below n carries no digest."""
+    value = int.from_bytes(sig, "big")
+    if value >= pub.n:
         return None
+    digest = pow(value, pub.e, pub.n)
     return digest.to_bytes(32, "big") if digest < 1 << 256 else None
 
 
-def verify(pub: RsaPublicKey, message: bytes, sig: Signature) -> bool:
-    """True iff sig^e mod n equals the message digest.  Total: malformed
-    signatures return False, they never raise."""
+def verify(pub: RsaPublicKey, message: bytes, sig: bytes) -> bool:
+    """True iff sig^e mod n equals the message digest.  Total over any
+    bytes-like ``sig``: malformed signatures return False, never raise."""
     digest = signed_digest(pub, sig)
     return digest is not None and digest == sha256(message)
 

@@ -136,12 +136,6 @@ def decode_file_payload(payload: bytes) -> tuple:
     return name, memoryview(payload)[2 + name_len :]
 
 
-def _signed_digest(env: envelope_mod.Envelope, sender_pub: rsa.RsaPublicKey) -> bytes:
-    """The plaintext's SHA-256 once ``env``'s signature is known to be valid,
-    for one public operation instead of a second pass over the plaintext."""
-    return rsa.signed_digest(sender_pub, rsa.Signature(int.from_bytes(env.signature, "big")))
-
-
 def send_file(
     host: str,
     port: int,
@@ -159,8 +153,10 @@ def send_file(
     :class:`TransferError` whose ``stage`` names the failing step.
     """
     path = Path(path)
-    plaintext = path.read_bytes()
-    env = envelope_mod.seal(plaintext, recipient_pub, sender_priv, sender_pub, rng, dim_log2)
+    # unnamed, so the plaintext is freed as soon as seal returns
+    env = envelope_mod.seal(
+        path.read_bytes(), recipient_pub, sender_priv, sender_pub, rng, dim_log2
+    )
     payload = encode_file_payload(path.name, envelope_mod.serialize(env))
 
     with socket.create_connection((host, port), timeout=CONNECTION_TIMEOUT) as sock:
@@ -182,7 +178,7 @@ def send_file(
             ack = AckPayload.decode(reply.payload)
             if ack.status != 0:
                 raise TransferError("ack", f"server reported status {ack.status}")
-            if ack.digest != _signed_digest(env, sender_pub):
+            if ack.digest != rsa.signed_digest(sender_pub, env.signature):
                 raise TransferError("digest", "server digest does not match local plaintext")
             return ack
         finally:
@@ -348,6 +344,7 @@ class TransferServer:
         plaintext = envelope_mod.open_envelope(env, self._recipient_priv, sender_pub)
         target = _write_atomic(self._out_dir, name, plaintext)
         logger.info("received %d bytes into %s", len(plaintext), target)
-        ack = AckPayload(0, _signed_digest(env, sender_pub))
+        # the signature open_envelope accepted carries the plaintext's SHA-256
+        ack = AckPayload(0, rsa.signed_digest(sender_pub, env.signature))
         write_frame(stream, Frame(FrameKind.ACK, ack.encode()))
 

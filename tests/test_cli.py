@@ -1,6 +1,7 @@
 import argparse
 import importlib.metadata
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from hcie import bench, cli, rsa
+from hcie import bench, cli, envelope, rsa
 
 
 def write_pair(tmp_path, name, pair):
@@ -124,6 +125,19 @@ class TestSignVerify:
             "verify", "--in", str(doc), "--key", str(keyfiles["alice.pub"]), "--sig", str(sig),
         ]) == 0
         assert "signature OK" in capsys.readouterr().out
+
+    def test_signature_file_is_the_envelope_signature(
+        self, tmp_path, keyfiles, recipient_pair, sender_pair
+    ):
+        pub, _ = recipient_pair
+        spub, spriv = sender_pair
+        doc = tmp_path / "doc.bin"
+        doc.write_bytes(b"contract body")
+        sig = tmp_path / "doc.sig"
+        cli.main(["sign", "--in", str(doc), "--key", str(keyfiles["alice.key"]), "--out", str(sig)])
+        env = envelope.seal(b"contract body", pub, spriv, spub, random.Random(37))
+        assert sig.read_bytes() == rsa.sign(spriv, b"contract body") == env.signature
+        assert len(env.signature) == spub.byte_length()
 
     def test_tampered_document_fails(self, tmp_path, keyfiles, capsys):
         doc = tmp_path / "doc.bin"

@@ -144,11 +144,6 @@ class TestOpenFailures:
 
 
 class TestEnvelopeInvariants:
-    def test_version_enforced(self, recipient_pair, sender_pair):
-        env = make_envelope(recipient_pair, sender_pair)
-        with pytest.raises(EnvelopeFormatError):
-            dataclasses.replace(env, version=2)
-
     def test_dim_log2_range_enforced(self, recipient_pair, sender_pair):
         env = make_envelope(recipient_pair, sender_pair)
         with pytest.raises(EnvelopeFormatError):

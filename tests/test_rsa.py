@@ -202,7 +202,22 @@ class TestSignatures:
     def test_signature_value_below_modulus(self, sender_pair):
         pub, priv = sender_pair
         sig = rsa.sign(priv, b"bounded")
-        assert 0 <= sig.value < pub.n
+        assert 0 <= int.from_bytes(sig, "big") < pub.n
+
+    def test_signature_is_modulus_width_with_leading_zero(self, sender_pair):
+        # about one signature in 160 starts with a zero byte under this key;
+        # I2OSP keeps that byte rather than shortening the signature
+        pub, priv = sender_pair
+        rng = random.Random(36)
+        for _ in range(5000):
+            msg = rng.randbytes(16)
+            sig = rsa.sign(priv, msg)
+            if sig[0] == 0:
+                break
+        assert type(sig) is bytes and sig[0] == 0
+        assert len(sig) == pub.byte_length() == priv.byte_length()
+        assert rsa.verify(pub, msg, sig)
+        assert rsa.verify(pub, msg, sig.lstrip(b"\x00"))
 
     def test_flipped_message_bytes_rejected(self, sender_pair):
         pub, priv = sender_pair
@@ -222,11 +237,18 @@ class TestSignatures:
         assert not rsa.verify(wrong_pub, msg, rsa.sign(priv, msg))
 
     def test_verify_is_total(self, sender_pair):
-        pub, _ = sender_pair
+        pub, priv = sender_pair
+        k = pub.byte_length()
         msg = b"totality"
-        assert not rsa.verify(pub, msg, rsa.Signature(pub.n))  # out of range
-        assert not rsa.verify(pub, msg, rsa.Signature(-1))
-        assert not rsa.verify(pub, msg, rsa.Signature(0))
+        assert not rsa.verify(pub, msg, pub.n.to_bytes(k, "big"))  # out of range
+        assert not rsa.verify(pub, msg, b"\xff" * (k + 1))  # wider than k
+        assert not rsa.verify(pub, msg, bytes(k))
+        assert not rsa.verify(pub, msg, b"")
+        # a leading zero byte does not change the integer, so it still verifies
+        sig = rsa.sign(priv, msg)
+        assert rsa.verify(pub, msg, b"\x00" + sig)
+        assert rsa.verify(pub, msg, bytearray(sig))
+        assert rsa.verify(pub, msg, memoryview(b"xx" + sig)[2:])
 
     def test_sign_needs_room_for_digest(self, textbook_priv):
         with pytest.raises(ValueError):
@@ -238,7 +260,8 @@ class TestSignatures:
         pub, priv = sender_pair
         msg = b"algebraic identity"
         sig = rsa.sign(priv, msg)
-        assert slow_pow(sig.value, pub.e, pub.n) == int.from_bytes(ref_sha256(msg), "big")
+        sig_int = int.from_bytes(sig, "big")
+        assert slow_pow(sig_int, pub.e, pub.n) == int.from_bytes(ref_sha256(msg), "big")
 
     def test_signed_digest_is_the_message_hash(self, sender_pair):
         pub, priv = sender_pair
@@ -248,14 +271,16 @@ class TestSignatures:
     def test_signed_digest_is_total(self, sender_pair, other_pair):
         pub, priv = sender_pair
         wrong_pub, _ = other_pair
-        assert rsa.signed_digest(pub, rsa.Signature(pub.n)) is None
-        assert rsa.signed_digest(pub, rsa.Signature(-1)) is None
-        assert rsa.signed_digest(pub, rsa.Signature("7")) is None
-        assert rsa.signed_digest(pub, None) is None
+        k = pub.byte_length()
+        assert rsa.signed_digest(pub, pub.n.to_bytes(k, "big")) is None
+        assert rsa.signed_digest(pub, b"\xff" * (k + 1)) is None
         # 2^e mod n is far wider than a digest, so it carries none
-        assert rsa.signed_digest(pub, rsa.Signature(2)) is None
-        assert rsa.signed_digest(pub, rsa.Signature(0)) == bytes(32)
-        assert rsa.signed_digest(wrong_pub, rsa.sign(priv, b"x")) != ref_sha256(b"x")
+        assert rsa.signed_digest(pub, (2).to_bytes(k, "big")) is None
+        assert rsa.signed_digest(pub, bytes(k)) == bytes(32)
+        assert rsa.signed_digest(pub, b"") == bytes(32)
+        sig = rsa.sign(priv, b"x")
+        assert rsa.signed_digest(pub, b"\x00" + sig) == ref_sha256(b"x")
+        assert rsa.signed_digest(wrong_pub, sig) != ref_sha256(b"x")
 
 
 @pytest.fixture(scope="module", params=[512, 1024, 2048])
@@ -270,7 +295,8 @@ class TestPrivateCore:
         pub, priv = sized_pair
         for msg in (b"", b"crt", bytes(range(256))):
             digest = int.from_bytes(rsa.sha256(msg), "big")
-            assert rsa.sign(priv, msg).value == pow(digest, priv.d, priv.n)
+            expected = pow(digest, priv.d, priv.n).to_bytes(pub.byte_length(), "big")
+            assert rsa.sign(priv, msg) == expected
 
     def test_decrypt_seed_equals_plain_pow(self, sized_pair):
         pub, priv = sized_pair

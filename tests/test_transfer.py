@@ -464,6 +464,52 @@ class TestLoopback:
         assert [p.name for p in out_dir.iterdir()] == [name]  # no .hcie-* temp file
 
 
+def drain_and_ack(listener: socket.socket, digest: bytes) -> None:
+    """A receiver that allocates nothing per byte: it answers HELLO with OK,
+    reads the FILE payload into one 64 KiB buffer, and ACKs ``digest``."""
+    conn, _ = listener.accept()
+    with conn:
+        buf = bytearray(64 * 1024)
+        view = memoryview(buf)
+        replies = [frame_bytes(FrameKind.OK, b""), frame_bytes(FrameKind.ACK, b"\x00" + digest)]
+        for reply in replies:
+            conn.recv_into(view[:5], 5, socket.MSG_WAITALL)
+            (remaining,) = struct.unpack(">I", view[1:5])
+            while remaining:
+                got = conn.recv_into(view, min(remaining, len(buf)))
+                if not got:
+                    return
+                remaining -= got
+            conn.sendall(reply)
+
+
+def test_send_file_holds_three_payload_sized_buffers(recipient_pair, sender_pair, tmp_path):
+    # the ciphertext, the serialized envelope and the FILE payload; the
+    # plaintext is gone once seal returns
+    pub, _ = recipient_pair
+    spub, spriv = sender_pair
+    data = random.Random(42).randbytes(2 * 1024 * 1024)
+    src = tmp_path / "big.bin"
+    src.write_bytes(data)
+    digest = rsa.sha256(data)
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        receiver = threading.Thread(target=drain_and_ack, args=(listener, digest), daemon=True)
+        receiver.start()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ack = transfer.send_file(
+                "127.0.0.1", listener.getsockname()[1], src, pub, spriv, spub
+            )
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        receiver.join(timeout=10)
+    assert not receiver.is_alive()
+    assert ack == AckPayload(0, digest)
+    assert peak <= 3.2 * len(data)
+
+
 # The ERR payload each session failure puts on the wire.  Senders show
 # these strings to users, so each one is pinned byte for byte.
 ERR_REASONS = [
