@@ -34,6 +34,7 @@ MIN_PAYLOAD = 1024
 #: Payloads are expanded from this fixed seed so separate runs are comparable.
 PAYLOAD_SEED = 0x48434945
 _BENCH_HILL_SEED = bytes(range(32))
+DIM_LOG2 = 4  # every scheme is timed at seal's default 16x16 Hill key
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,6 @@ def run_bench(
     rng: Optional[random.Random] = None,
     repetitions: int = 3,
     rsa_bits: int = 1024,
-    dim_log2: int = 4,
 ) -> List[BenchRecord]:
     """Time all three schemes at each payload size.
 
@@ -110,7 +110,7 @@ def run_bench(
         if size < MIN_PAYLOAD:
             raise ValueError(f"payload sizes below {MIN_PAYLOAD} bytes are not measurable")
 
-    hill_key = hill.derive_key(_BENCH_HILL_SEED, dim_log2)
+    hill_key = hill.derive_key(_BENCH_HILL_SEED, DIM_LOG2)
     recipient_pub, recipient_priv = rsa.keygen(rsa_bits, rng)
     sender_pub, sender_priv = rsa.keygen(rsa_bits, rng)
 
@@ -128,7 +128,7 @@ def run_bench(
         # rsa_only leg, so that machine-speed drift does not enter their ratio
         hybrid_med = _timed_runs(
             lambda: envelope_mod.seal(
-                payload, recipient_pub, sender_priv, sender_pub, rng, dim_log2
+                payload, recipient_pub, sender_priv, sender_pub, rng, DIM_LOG2
             ),
             lambda env: envelope_mod.open_envelope(env, recipient_priv, sender_pub),
             payload,

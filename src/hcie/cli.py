@@ -45,8 +45,11 @@ def cmd_keygen(args) -> int:
     pub_path = Path(f"{args.out}.pub")
     key_path = Path(f"{args.out}.key")
     pub_path.write_bytes(rsa.serialize_key(pub))
-    key_path.write_bytes(rsa.serialize_key(priv))
-    os.chmod(key_path, 0o600)
+    # owner-only from creation on; fchmod narrows a file that already existed
+    fd = os.open(key_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+    with open(fd, "wb") as fh:
+        os.fchmod(fd, 0o600)
+        fh.write(rsa.serialize_key(priv))
     print(f"wrote {pub_path} and {key_path}")
     print(f"fingerprint {rsa.fingerprint(pub).hex()}")
     return 0
@@ -111,8 +114,8 @@ def cmd_recv(args) -> int:
     print(f"listening on port {server.port} ({len(trusted)} trusted senders)", flush=True)
     try:
         server.serve_forever()
-    except KeyboardInterrupt:
-        server.shutdown()
+    except KeyboardInterrupt:  # the loop has stopped and closed the port
+        pass
     return 0
 
 

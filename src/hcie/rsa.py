@@ -303,21 +303,24 @@ def parse_key(data: bytes) -> Union[RsaPublicKey, RsaPrivateKey]:
         values = [int(f, 16) for f in fields]
     except ValueError as exc:
         raise KeyFileError("bad hex field in key file") from exc
+    count = {"public": 2, "private": 5}.get(role)
+    if count is None:
+        raise KeyFileError(f"unknown key role {role!r}")
+    if len(values) != count:
+        raise KeyFileError(f"{role} key file needs {count} fields, got {len(values)}")
+    n, e = values[:2]
+    # e = 1 makes every digest its own signature; even e has no inverse
+    if e < 3 or e % 2 == 0 or e >= n:
+        raise KeyFileError("public exponent must be odd with 3 <= e < n")
     if role == "public":
-        if len(values) != 2:
-            raise KeyFileError(f"public key file needs 2 fields, got {len(values)}")
-        return RsaPublicKey(n=values[0], e=values[1])
-    if role == "private":
-        if len(values) != 5:
-            raise KeyFileError(f"private key file needs 5 fields, got {len(values)}")
-        n, e, d, p, q = values
-        # the CRT path computes with p and q, so they must match n and d
-        if p < 2 or q < 2 or p == q or p * q != n:
-            raise KeyFileError("private key p and q are not two distinct factors of n")
-        if e * d % math.lcm(p - 1, q - 1) != 1:
-            raise KeyFileError("private key d does not invert e mod lcm(p-1, q-1)")
-        return RsaPrivateKey(n=n, e=e, d=d, p=p, q=q)
-    raise KeyFileError(f"unknown key role {role!r}")
+        return RsaPublicKey(n=n, e=e)
+    d, p, q = values[2:]
+    # the CRT path computes with p and q, so they must match n and d
+    if p < 2 or q < 2 or p == q or p * q != n:
+        raise KeyFileError("private key p and q are not two distinct factors of n")
+    if e * d % math.lcm(p - 1, q - 1) != 1:
+        raise KeyFileError("private key d does not invert e mod lcm(p-1, q-1)")
+    return RsaPrivateKey(n=n, e=e, d=d, p=p, q=q)
 
 
 def fingerprint(pub: RsaPublicKey) -> bytes:

@@ -15,9 +15,9 @@ import logging
 import os
 import random
 import socket
+import socketserver
 import struct
 import tempfile
-import threading
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
@@ -73,12 +73,10 @@ class AckPayload:
 
 
 def _read_exact(stream: BinaryIO, count: int) -> bytes:
-    buf = b""
-    while len(buf) < count:
-        chunk = stream.read(count - len(buf))
-        if not chunk:
-            raise ConnectionClosedError("connection closed")
-        buf += chunk
+    # a buffered stream's read(n) returns short only at EOF
+    buf = stream.read(count)
+    if len(buf) < count:
+        raise ConnectionClosedError("connection closed")
     return buf
 
 
@@ -160,29 +158,27 @@ def send_file(
     payload = encode_file_payload(path.name, envelope_mod.serialize(env))
 
     with socket.create_connection((host, port), timeout=CONNECTION_TIMEOUT) as sock:
-        stream = sock.makefile("rwb")
-        try:
-            write_frame(stream, Frame(FrameKind.HELLO, HELLO_PAYLOAD))
-            reply = read_frame(stream)
-            if reply.kind == FrameKind.ERR:
-                raise TransferError("hello", reply.payload.decode("utf-8", "replace"))
-            if reply.kind != FrameKind.OK:
-                raise TransferError("hello", f"expected OK, got {reply.kind.name}")
+        with sock.makefile("rwb") as stream:
+            _request(stream, Frame(FrameKind.HELLO, HELLO_PAYLOAD), FrameKind.OK, "hello")
+            reply = _request(stream, Frame(FrameKind.FILE, payload), FrameKind.ACK, "transfer")
+    ack = AckPayload.decode(reply.payload)
+    if ack.status != 0:
+        raise TransferError("ack", f"server reported status {ack.status}")
+    if ack.digest != rsa.signed_digest(sender_pub, env.signature):
+        raise TransferError("digest", "server digest does not match local plaintext")
+    return ack
 
-            write_frame(stream, Frame(FrameKind.FILE, payload))
-            reply = read_frame(stream)
-            if reply.kind == FrameKind.ERR:
-                raise TransferError("transfer", reply.payload.decode("utf-8", "replace"))
-            if reply.kind != FrameKind.ACK:
-                raise TransferError("transfer", f"expected ACK, got {reply.kind.name}")
-            ack = AckPayload.decode(reply.payload)
-            if ack.status != 0:
-                raise TransferError("ack", f"server reported status {ack.status}")
-            if ack.digest != rsa.signed_digest(sender_pub, env.signature):
-                raise TransferError("digest", "server digest does not match local plaintext")
-            return ack
-        finally:
-            stream.close()
+
+def _request(stream: BinaryIO, frame: Frame, expected: FrameKind, stage: str) -> Frame:
+    """Write ``frame`` and read the reply, raising :class:`TransferError`
+    at ``stage`` on an ERR or any reply other than ``expected``."""
+    write_frame(stream, frame)
+    reply = read_frame(stream)
+    if reply.kind == FrameKind.ERR:
+        raise TransferError(stage, reply.payload.decode("utf-8", "replace"))
+    if reply.kind != expected:
+        raise TransferError(stage, f"expected {expected.name}, got {reply.kind.name}")
+    return reply
 
 
 def load_trusted_keys(trust_dir) -> Dict[bytes, rsa.RsaPublicKey]:
@@ -253,15 +249,20 @@ def _write_atomic(out_dir: Path, name: str, data: bytes) -> Path:
         raise
 
 
-class TransferServer:
+class TransferServer(socketserver.ThreadingTCPServer):
     """Receive-only envelope server; one file per connection.
 
     Construct with ``port=0`` to bind an ephemeral port (see ``.port``),
-    then call :meth:`serve_forever`, typically from a dedicated thread.
-    Connections are handled concurrently; sessions share nothing but the
-    output directory, and writes are atomic, so no synchronization is
-    needed beyond the claim-by-O_EXCL naming.
+    run :meth:`serve_forever` on a dedicated thread, and stop it with
+    ``shutdown()`` while that loop runs; the port closes when it returns.
+    Each connection gets a daemon thread (backlog 64, no global cap).
+    Sessions share only the output directory, whose writes are atomic
+    and claim names by O_EXCL, so they need no locking.
     """
+
+    allow_reuse_address = True
+    daemon_threads = True
+    request_queue_size = 64
 
     def __init__(
         self,
@@ -274,34 +275,16 @@ class TransferServer:
         self._recipient_priv = recipient_priv
         self._lookup = sender_pub_lookup
         self._out_dir = Path(out_dir)
-        self._stopping = threading.Event()
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))
-        self._sock.listen(64)
-        self._sock.settimeout(0.2)
-        self.port = self._sock.getsockname()[1]
+        super().__init__((host, port), None)
+        self.port = self.server_address[1]
 
     def serve_forever(self) -> None:
         try:
-            while not self._stopping.is_set():
-                try:
-                    conn, addr = self._sock.accept()
-                except socket.timeout:
-                    continue
-                except OSError:
-                    break
-                worker = threading.Thread(
-                    target=self._handle, args=(conn, addr), daemon=True
-                )
-                worker.start()
+            super().serve_forever(poll_interval=0.2)
         finally:
-            self._sock.close()
+            self.server_close()
 
-    def shutdown(self) -> None:
-        self._stopping.set()
-
-    def _handle(self, conn: socket.socket, addr) -> None:
+    def finish_request(self, conn: socket.socket, addr) -> None:
         conn.settimeout(CONNECTION_TIMEOUT)
         stream = conn.makefile("rwb")
         try:

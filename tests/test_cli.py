@@ -4,6 +4,8 @@ import os
 import random
 import re
 import shutil
+import signal
+import socket
 import subprocess
 import sys
 import time
@@ -11,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from hcie import bench, cli, envelope, rsa
+from hcie import bench, cli, envelope, rsa, transfer
+from hcie.transfer import Frame, FrameKind
 
 
 def write_pair(tmp_path, name, pair):
@@ -48,6 +51,22 @@ class TestKeygen:
         out = tmp_path / "pair"
         cli.main(["keygen", "--bits", "512", "--out", str(out)])
         assert (tmp_path / "pair.key").stat().st_mode & 0o777 == 0o600
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing 0644"])
+    def test_private_key_is_never_readable_by_others(self, tmp_path, monkeypatch, existing):
+        # with chmod a no-op, only the mode the key is written with counts
+        key_path = tmp_path / "pair.key"
+        if existing:
+            key_path.write_bytes(b"stale")
+            key_path.chmod(0o644)
+        monkeypatch.setattr(os, "chmod", lambda *args, **kwargs: None)
+        umask = os.umask(0o022)
+        try:
+            assert cli.main(["keygen", "--bits", "512", "--out", str(tmp_path / "pair")]) == 0
+        finally:
+            os.umask(umask)
+        assert key_path.stat().st_mode & 0o777 == 0o600
+        assert isinstance(rsa.parse_key(key_path.read_bytes()), rsa.RsaPrivateKey)
 
     def test_nonstandard_bits_is_usage_error(self, tmp_path, capsys):
         assert cli.main(["keygen", "--bits", "77", "--out", str(tmp_path / "x")]) == 1
@@ -207,29 +226,45 @@ class TestBenchCommand:
         assert cli.main(["bench", "--sizes", "10", "--out", str(tmp_path / "b.csv")]) == 1
 
 
-class TestSendRecv:
-    def test_end_to_end_over_subprocess_server(self, tmp_path, keyfiles, capsys):
-        out_dir = tmp_path / "inbox"
-        trust = tmp_path / "trust"
-        trust.mkdir()
-        (trust / "alice.pub").write_bytes(keyfiles["alice.pub"].read_bytes())
-
+def start_recv(tmp_path, keyfiles):
+    """An `hcie recv` subprocess trusting alice, and the port it announced."""
+    trust = tmp_path / "trust"
+    trust.mkdir()
+    (trust / "alice.pub").write_bytes(keyfiles["alice.pub"].read_bytes())
+    # a child inherits an ignored SIGINT (as under `cmd &` in a script),
+    # but starts with the default disposition if this process handles it
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "hcie", "recv",
-                "--port", "0", "--out-dir", str(out_dir),
+                "--port", "0", "--out-dir", str(tmp_path / "inbox"),
                 "--key", str(keyfiles["bob.key"]), "--trust", str(trust),
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
         )
-        try:
-            line = proc.stdout.readline()
-            match = re.search(r"listening on port (\d+)", line)
-            assert match, f"unexpected server banner: {line!r}"
-            port = int(match.group(1))
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    line = proc.stdout.readline()
+    match = re.search(r"listening on port (\d+)", line)
+    if not match:
+        stop_recv(proc)
+        pytest.fail(f"unexpected server banner: {line!r}")
+    return proc, int(match.group(1))
 
+
+def stop_recv(proc):
+    if proc.poll() is None:
+        proc.kill()
+    proc.communicate(timeout=10)  # reaps it and closes its pipes
+
+
+class TestSendRecv:
+    def test_end_to_end_over_subprocess_server(self, tmp_path, keyfiles, capsys):
+        proc, port = start_recv(tmp_path, keyfiles)
+        try:
             src = tmp_path / "wire.bin"
             src.write_bytes(b"over the wire" * 1000)
             code = cli.main([
@@ -238,10 +273,24 @@ class TestSendRecv:
             ])
             assert code == 0
             assert "server digest" in capsys.readouterr().out
-            assert (out_dir / "wire.bin").read_bytes() == b"over the wire" * 1000
+            assert (tmp_path / "inbox" / "wire.bin").read_bytes() == b"over the wire" * 1000
         finally:
-            proc.terminate()
-            proc.wait(timeout=10)
+            stop_recv(proc)
+
+    def test_sigint_stops_recv_and_closes_its_port(self, tmp_path, keyfiles):
+        proc, port = start_recv(tmp_path, keyfiles)
+        try:
+            # an OK reply shows the accept loop is running
+            with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
+                with sock.makefile("rwb") as stream:
+                    transfer.write_frame(stream, Frame(FrameKind.HELLO, transfer.HELLO_PAYLOAD))
+                    assert transfer.read_frame(stream).kind == FrameKind.OK
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=5) == 0
+        finally:
+            stop_recv(proc)
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", port), timeout=5.0).close()
 
     def test_send_to_dead_port_fails(self, tmp_path, keyfiles, capsys):
         src = tmp_path / "x.bin"

@@ -453,6 +453,24 @@ class TestKeyFiles:
         with pytest.raises(KeyFileError):
             rsa.parse_key(rsa.serialize_key(key))
 
+    @pytest.mark.parametrize(
+        "exponent",
+        [lambda n: 0, lambda n: 1, lambda n: 2, lambda n: 4, lambda n: n, lambda n: n + 2],
+        ids=["0", "1", "2", "4", "n", "n+2"],
+    )
+    def test_degenerate_public_exponent_rejected(self, recipient_pair, exponent):
+        pub, _ = recipient_pair
+        key = rsa.RsaPublicKey(n=pub.n, e=exponent(pub.n))
+        with pytest.raises(KeyFileError, match="public exponent"):
+            rsa.parse_key(rsa.serialize_key(key))
+
+    def test_private_key_with_unit_exponents_rejected(self, recipient_pair):
+        # e = d = 1 satisfies e*d = 1 mod lcm(p-1, q-1) but encrypts nothing
+        _, priv = recipient_pair
+        key = rsa.RsaPrivateKey(n=priv.n, e=1, d=1, p=priv.p, q=priv.q)
+        with pytest.raises(KeyFileError, match="public exponent"):
+            rsa.parse_key(rsa.serialize_key(key))
+
     def test_textbook_key_file_accepted(self, textbook_priv):
         assert rsa.parse_key(rsa.serialize_key(textbook_priv)) == textbook_priv
 

@@ -136,6 +136,23 @@ def frame_bytes(kind: FrameKind, payload: bytes) -> bytes:
     return struct.pack(">BI", int(kind), len(payload)) + payload
 
 
+def test_shutdown_stops_the_loop_and_closes_the_port(recipient_pair, tmp_path):
+    _, priv = recipient_pair
+    srv = transfer.TransferServer(0, priv, {}.get, tmp_path, host="127.0.0.1")
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    # an OK reply shows the accept loop is running
+    (reply,) = raw_session(srv.port, [frame_bytes(FrameKind.HELLO, transfer.HELLO_PAYLOAD)])
+    assert reply.kind == FrameKind.OK
+    start = time.monotonic()
+    srv.shutdown()
+    assert time.monotonic() - start < 1.0
+    thread.join(timeout=1.0)
+    assert not thread.is_alive()
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(("127.0.0.1", srv.port), timeout=5.0).close()
+
+
 class TestFrames:
     @pytest.mark.parametrize("kind", list(FrameKind))
     def test_round_trip_every_kind(self, kind):
@@ -568,7 +585,7 @@ class TestErrReasons:
         monkeypatch.setattr(transfer.TransferServer, "_session", failing_session)
         ours, theirs = socket.socketpair()
         with theirs, theirs.makefile("rb") as stream:
-            srv._handle(ours, "socketpair")  # closes its end when done
+            srv.finish_request(ours, "socketpair")  # closes its end when done
             theirs.settimeout(5.0)
             assert transfer.read_frame(stream) == Frame(FrameKind.ERR, reason.encode())
             assert stream.read() == b""
@@ -603,3 +620,11 @@ class TestTrustedKeys:
             table = transfer.load_trusted_keys(tmp_path)
         assert list(table.values()) == [pub]
         assert len(caplog.records) == 2
+
+    def test_skips_keys_with_a_degenerate_exponent(self, tmp_path, recipient_pair, caplog):
+        # under e = 1 every digest is its own signature
+        pub, _ = recipient_pair
+        (tmp_path / "forgeable.pub").write_bytes(rsa.serialize_key(rsa.RsaPublicKey(pub.n, 1)))
+        with caplog.at_level(logging.WARNING, logger="hcie.transfer"):
+            assert transfer.load_trusted_keys(tmp_path) == {}
+        assert "ignoring unparseable key file" in caplog.text
