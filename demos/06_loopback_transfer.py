@@ -4,9 +4,9 @@ Moving sealed files over TCP
 
 The transfer protocol is four frames: HELLO (version check), OK, FILE
 (name + serialized envelope), ACK (sha256 of what the server recovered).
-The server opens the envelope before writing anything, writes via a
-temporary file plus atomic rename, and never overwrites — collisions get
-numeric suffixes.  This demo runs a server and a client in one process.
+The server opens the envelope before writing anything, writes a
+temporary file and hard-links it to its name, and never overwrites —
+collisions get numeric suffixes.  This demo runs a server and a client in one process.
 """
 
 import random

@@ -148,8 +148,6 @@ def det(a: RingMatrix, ring: RingParams) -> int:
     interior divisions of the Bareiss recurrence are exact over Z.
     """
     n = a.dim
-    if n == 1:
-        return ring.reduce(a.rows[0][0])
     m = [list(row) for row in a.rows]
     sign = 1
     prev = 1
@@ -192,13 +190,13 @@ def is_invertible(a: RingMatrix, ring: RingParams) -> bool:
 def invert(a: RingMatrix, ring: RingParams) -> RingMatrix:
     """Inverse matrix b with a*b = b*a = I mod 2^m.
 
-    1x1 and 2x2 matrices use the adjugate in closed form, det^-1 * [[d, -b],
-    [-c, a]] for a 2x2 matrix, the Hill key factor size.  Larger ones use
-    Gauss-Jordan elimination where each pivot column is searched for an odd
-    entry; an invertible matrix always has one, because its reduction mod 2
-    has full rank.
+    2x2 matrices, the Hill key factor size, use the adjugate in closed form,
+    det^-1 * [[d, -b], [-c, a]].  Every other size uses Gauss-Jordan
+    elimination where each pivot column is searched for an odd entry; an
+    invertible matrix always has one, because its reduction mod 2 has full
+    rank.
     """
-    if a.dim <= 2:
+    if a.dim == 2:
         return _invert_adjugate(a, ring)
     return _invert_gauss(a, ring)
 
@@ -208,8 +206,6 @@ def _invert_adjugate(a: RingMatrix, ring: RingParams) -> RingMatrix:
     if not ring.is_unit(d):
         raise NotInvertibleError(f"matrix not a unit mod 2^{ring.m} (det = {d})")
     d_inv = ring.inv(d)
-    if a.dim == 1:
-        return RingMatrix(((d_inv,),))
     mask = ring.mask
     (a0, b0), (c0, d0) = a.rows
     return RingMatrix(

@@ -4,8 +4,8 @@ connection.
 Wire format per frame: kind u8, length u32 big-endian, payload.  A session
 is HELLO -> OK -> FILE -> ACK, with ERR(reason) replacing any reply on
 failure.  The server never writes unverified bytes: the envelope is fully
-opened first, then the plaintext lands via temp file + atomic rename, with
-numeric suffixes instead of overwrites on name collisions.
+opened first, then the plaintext is written to a temp file and hard-linked
+to its name, with numeric suffixes instead of overwrites on name collisions.
 """
 
 from __future__ import annotations
@@ -80,11 +80,14 @@ def _read_exact(stream: BinaryIO, count: int) -> bytes:
     return buf
 
 
-def write_frame(stream: BinaryIO, frame: Frame) -> None:
-    if len(frame.payload) > 0xFFFFFFFF:
+def write_frame(stream: BinaryIO, kind: FrameKind, *parts: bytes) -> None:
+    """Write one frame whose payload is ``parts`` in order, without joining them."""
+    length = sum(len(part) for part in parts)
+    if length > 0xFFFFFFFF:
         raise ProtocolError("payload too large for a u32 length")
-    stream.write(struct.pack(">BI", int(frame.kind), len(frame.payload)))
-    stream.write(frame.payload)
+    stream.write(struct.pack(">BI", int(kind), length))
+    for part in parts:
+        stream.write(part)
     stream.flush()
 
 
@@ -111,12 +114,6 @@ def validate_filename(name: str) -> None:
         raise ProtocolError("filename must be 1..255 UTF-8 bytes")
     if any(c in name for c in _NAME_BAD_CHARS) or name in (".", ".."):
         raise ProtocolError("filename must not contain path separators")
-
-
-def encode_file_payload(name: str, envelope_bytes: bytes) -> bytes:
-    validate_filename(name)
-    raw = name.encode("utf-8")
-    return struct.pack(">H", len(raw)) + raw + envelope_bytes
 
 
 def decode_file_payload(payload: bytes) -> tuple:
@@ -151,16 +148,18 @@ def send_file(
     :class:`TransferError` whose ``stage`` names the failing step.
     """
     path = Path(path)
+    validate_filename(path.name)
+    raw = path.name.encode("utf-8")
     # unnamed, so the plaintext is freed as soon as seal returns
     env = envelope_mod.seal(
         path.read_bytes(), recipient_pub, sender_priv, sender_pub, rng, dim_log2
     )
-    payload = encode_file_payload(path.name, envelope_mod.serialize(env))
 
     with socket.create_connection((host, port), timeout=CONNECTION_TIMEOUT) as sock:
         with sock.makefile("rwb") as stream:
-            _request(stream, Frame(FrameKind.HELLO, HELLO_PAYLOAD), FrameKind.OK, "hello")
-            reply = _request(stream, Frame(FrameKind.FILE, payload), FrameKind.ACK, "transfer")
+            _request(stream, FrameKind.OK, "hello", FrameKind.HELLO, HELLO_PAYLOAD)
+            parts = (struct.pack(">H", len(raw)), raw, envelope_mod.serialize(env))
+            reply = _request(stream, FrameKind.ACK, "transfer", FrameKind.FILE, *parts)
     ack = AckPayload.decode(reply.payload)
     if ack.status != 0:
         raise TransferError("ack", f"server reported status {ack.status}")
@@ -169,10 +168,11 @@ def send_file(
     return ack
 
 
-def _request(stream: BinaryIO, frame: Frame, expected: FrameKind, stage: str) -> Frame:
-    """Write ``frame`` and read the reply, raising :class:`TransferError`
-    at ``stage`` on an ERR or any reply other than ``expected``."""
-    write_frame(stream, frame)
+def _request(stream: BinaryIO, expected: FrameKind, stage: str, kind, *parts) -> Frame:
+    """Write a ``kind`` frame of ``parts`` and read the reply, raising
+    :class:`TransferError` at ``stage`` on an ERR or any reply other than
+    ``expected``."""
+    write_frame(stream, kind, *parts)
     reply = read_frame(stream)
     if reply.kind == FrameKind.ERR:
         raise TransferError(stage, reply.payload.decode("utf-8", "replace"))
@@ -199,9 +199,9 @@ def load_trusted_keys(trust_dir) -> Dict[bytes, rsa.RsaPublicKey]:
     return table
 
 
-def _claim(path: Path) -> Path:
+def _claim(tmp: str, path: Path) -> Path:
     try:
-        os.close(os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        os.link(tmp, path)
     except OSError as exc:
         # a valid name can outgrow the filesystem's limit once suffixed
         if exc.errno == errno.ENAMETOOLONG:
@@ -210,15 +210,15 @@ def _claim(path: Path) -> Path:
     return path
 
 
-def _claim_output_path(out_dir: Path, name: str) -> Path:
-    """Reserve a collision-free output name: ``name``, else ``name.i`` for
-    the smallest free i >= 1, so gaps are filled first.
+def _claim_output_path(out_dir: Path, name: str, tmp: str) -> Path:
+    """Hard-link ``tmp`` to a collision-free name in ``out_dir``: ``name``,
+    else ``name.i`` for the smallest free i >= 1, so gaps are filled first.
 
     The directory is listed once, on the first collision; a suffix another
-    writer claims between that listing and our O_EXCL open is skipped.
+    writer links between that listing and our ``link`` is skipped.
     """
     try:
-        return _claim(out_dir / name)
+        return _claim(tmp, out_dir / name)
     except FileExistsError:
         pass
     prefix = f"{name}."
@@ -228,25 +228,20 @@ def _claim_output_path(out_dir: Path, name: str) -> Path:
     while True:
         if str(i) not in taken:
             try:
-                return _claim(out_dir / f"{name}.{i}")
+                return _claim(tmp, out_dir / f"{name}.{i}")
             except FileExistsError:
                 pass
         i += 1
 
 
 def _write_atomic(out_dir: Path, name: str, data: bytes) -> Path:
-    with tempfile.NamedTemporaryFile(dir=out_dir, prefix=".hcie-", delete=False) as tmp:
+    # the final name appears only once the bytes are on disk; the temp name
+    # is removed when the block exits, whether or not the link succeeded
+    with tempfile.NamedTemporaryFile(dir=out_dir, prefix=".hcie-") as tmp:
         tmp.write(data)
         tmp.flush()
         os.fsync(tmp.fileno())
-        tmp_path = Path(tmp.name)
-    try:
-        target = _claim_output_path(out_dir, name)
-        os.replace(tmp_path, target)
-        return target
-    except BaseException:
-        tmp_path.unlink(missing_ok=True)
-        raise
+        return _claim_output_path(out_dir, name, tmp.name)
 
 
 class TransferServer(socketserver.ThreadingTCPServer):
@@ -256,8 +251,8 @@ class TransferServer(socketserver.ThreadingTCPServer):
     run :meth:`serve_forever` on a dedicated thread, and stop it with
     ``shutdown()`` while that loop runs; the port closes when it returns.
     Each connection gets a daemon thread (backlog 64, no global cap).
-    Sessions share only the output directory, whose writes are atomic
-    and claim names by O_EXCL, so they need no locking.
+    Sessions share only the output directory, where files appear whole and
+    ``link`` never replaces a name, so they need no locking.
     """
 
     allow_reuse_address = True
@@ -298,7 +293,7 @@ class TransferServer(socketserver.ThreadingTCPServer):
                 reason = "internal error"
             logger.info("connection from %s failed: %s", addr, exc)
             try:
-                write_frame(stream, Frame(FrameKind.ERR, reason.encode("utf-8")))
+                write_frame(stream, FrameKind.ERR, reason.encode("utf-8"))
             except OSError:
                 pass
         finally:
@@ -314,7 +309,7 @@ class TransferServer(socketserver.ThreadingTCPServer):
             raise ProtocolError(f"expected HELLO, got kind {hello.kind}")
         if hello.payload != HELLO_PAYLOAD:
             raise ProtocolError("version")
-        write_frame(stream, Frame(FrameKind.OK, b""))
+        write_frame(stream, FrameKind.OK)
 
         file_frame = read_frame(stream)
         if file_frame.kind != FrameKind.FILE:
@@ -329,5 +324,5 @@ class TransferServer(socketserver.ThreadingTCPServer):
         logger.info("received %d bytes into %s", len(plaintext), target)
         # the signature open_envelope accepted carries the plaintext's SHA-256
         ack = AckPayload(0, rsa.signed_digest(sender_pub, env.signature))
-        write_frame(stream, Frame(FrameKind.ACK, ack.encode()))
+        write_frame(stream, FrameKind.ACK, ack.encode())
 

@@ -346,6 +346,7 @@ def test_c09_loopback_transfer_and_tamper_proxy(recipient_pair, sender_pair, tmp
             server_thread.join(timeout=10)
 
 
+@pytest.mark.slow
 def test_c10_benchmark_throughput_ratio():
     # criterion 10: at 10 MiB with 1024-bit keys, hybrid seal takes at most
     # a tenth of the chunked-RSA wall time (median of 3, every repetition

@@ -3,6 +3,7 @@
 correct against the dense-matmul oracle at every length that matters."""
 
 import random
+import struct
 import tracemalloc
 
 import numpy as np
@@ -45,7 +46,7 @@ class TestViews:
         assert env.ciphertext == blob[-len(env.ciphertext) :]
 
     def test_decode_file_payload_shares_memory(self):
-        payload = transfer.encode_file_payload("a.bin", b"envelope bytes")
+        payload = struct.pack(">H", 5) + b"a.bin" + b"envelope bytes"
         name, body = transfer.decode_file_payload(payload)
         assert name == "a.bin" and body == b"envelope bytes"
         assert np.shares_memory(

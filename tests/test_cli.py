@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from hcie import bench, cli, envelope, rsa, transfer
-from hcie.transfer import Frame, FrameKind
+from hcie.transfer import FrameKind
 
 
 def write_pair(tmp_path, name, pair):
@@ -283,7 +283,7 @@ class TestSendRecv:
             # an OK reply shows the accept loop is running
             with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
                 with sock.makefile("rwb") as stream:
-                    transfer.write_frame(stream, Frame(FrameKind.HELLO, transfer.HELLO_PAYLOAD))
+                    transfer.write_frame(stream, FrameKind.HELLO, transfer.HELLO_PAYLOAD)
                     assert transfer.read_frame(stream).kind == FrameKind.OK
             proc.send_signal(signal.SIGINT)
             assert proc.wait(timeout=5) == 0

@@ -179,7 +179,7 @@ class TestInvert:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 8, 16])
     def test_two_sided_inverse(self, dim):
-        # dims 1-2 take the closed-form adjugate, larger ones Gauss-Jordan
+        # dim 2 takes the closed-form adjugate, every other dim Gauss-Jordan
         rng = random.Random(dim)
         for _ in range(10):
             a = ring.random_invertible(dim, BYTE_RING, rng)
