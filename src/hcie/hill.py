@@ -37,6 +37,7 @@ from .ring import (
     Block,
     RingMatrix,
     RingParams,
+    independent_mod2,
     invert,
     is_invertible,
     kronecker,
@@ -131,15 +132,11 @@ def random_seed(rng: Optional[random.Random] = None) -> bytes:
 
 def encrypt_block(key: HillKey, m: Block) -> Block:
     """C = K * M mod 256 for a single block."""
-    if m.dim != key.dim:
-        raise DimensionError(f"block dim {m.dim} does not match key dim {key.dim}")
     return mat_vec(key.forward, m, BYTE_RING)
 
 
 def decrypt_block(key: HillKey, c: Block) -> Block:
     """M = K^-1 * C mod 256 for a single block."""
-    if c.dim != key.dim:
-        raise DimensionError(f"block dim {c.dim} does not match key dim {key.dim}")
     return mat_vec(key.inverse, c, BYTE_RING)
 
 
@@ -271,9 +268,10 @@ def recover_key_known_plaintext(
 ) -> RingMatrix:
     """Recover the key matrix from known (plaintext, ciphertext) block pairs.
 
-    Picks n pairs whose plaintexts are independent (greedy over GF(2);
-    a set of columns is invertible mod 2^m iff it is independent mod 2),
-    solves K = C * P^-1, then checks K against every supplied pair.
+    Takes the pairs whose plaintexts :func:`~hcie.ring.independent_mod2`
+    keeps (a set of columns is invertible mod 2^m iff it is independent
+    mod 2); with n of them it solves K = C * P^-1, then checks K against
+    every supplied pair.
 
     Raises :class:`InsufficientPlaintextError` when no invertible plaintext
     matrix can be selected, and :class:`InconsistentPairsError` when the
@@ -286,18 +284,7 @@ def recover_key_known_plaintext(
         if pt.dim != n or ct.dim != n:
             raise DimensionError("all pairs must share the key dimension")
 
-    chosen = []
-    basis = []  # GF(2) echelon bitmasks of the chosen plaintexts
-    for pt, ct in pairs:
-        v = sum((e & 1) << i for i, e in enumerate(pt.entries))
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-            chosen.append((pt, ct))
-            if len(chosen) == n:
-                break
+    chosen = [pairs[i] for i in independent_mod2(pt.entries for pt, _ in pairs)]
     if len(chosen) < n:
         raise InsufficientPlaintextError("insufficient independent plaintext")
 

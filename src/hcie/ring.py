@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DimensionError, NotInvertibleError
 
@@ -168,52 +168,42 @@ def det(a: RingMatrix, ring: RingParams) -> int:
     return ring.reduce(sign * m[n - 1][n - 1])
 
 
+def independent_mod2(vectors: Iterable[Sequence[int]]) -> list:
+    """Indices of the vectors that a greedy in-order scan keeps: each kept
+    vector is independent mod 2 of the ones kept before it.
+
+    Each vector is packed mod 2 into one int and reduced against an xor
+    basis, kept sorted so that its members have distinct leading bits.
+    """
+    kept = []
+    basis = []
+    for idx, vec in enumerate(vectors):
+        v = sum((e & 1) << i for i, e in enumerate(vec))
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+            kept.append(idx)
+    return kept
+
+
 def is_invertible(a: RingMatrix, ring: RingParams) -> bool:
     """True iff det(a) is odd, i.e. a is a unit of the matrix ring.
 
-    Invertibility mod 2^m only depends on the matrix mod 2, so this runs
-    Gaussian elimination over GF(2) with each row packed into one int.
+    Invertibility mod 2^m only depends on the matrix mod 2: a is a unit iff
+    its rows are independent over GF(2).
     """
-    n = a.dim
-    rows = [sum((e & 1) << j for j, e in enumerate(row)) for row in a.rows]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if rows[i] >> col & 1), None)
-        if pivot is None:
-            return False
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        for i in range(col + 1, n):
-            if rows[i] >> col & 1:
-                rows[i] ^= rows[col]
-    return True
+    return len(independent_mod2(a.rows)) == a.dim
 
 
 def invert(a: RingMatrix, ring: RingParams) -> RingMatrix:
     """Inverse matrix b with a*b = b*a = I mod 2^m.
 
-    2x2 matrices, the Hill key factor size, use the adjugate in closed form,
-    det^-1 * [[d, -b], [-c, a]].  Every other size uses Gauss-Jordan
-    elimination where each pivot column is searched for an odd entry; an
-    invertible matrix always has one, because its reduction mod 2 has full
-    rank.
+    Gauss-Jordan elimination on [a | I] where each pivot column is searched
+    for an odd entry; an invertible matrix always has one, because its
+    reduction mod 2 has full rank.
     """
-    if a.dim == 2:
-        return _invert_adjugate(a, ring)
-    return _invert_gauss(a, ring)
-
-
-def _invert_adjugate(a: RingMatrix, ring: RingParams) -> RingMatrix:
-    d = det(a, ring)
-    if not ring.is_unit(d):
-        raise NotInvertibleError(f"matrix not a unit mod 2^{ring.m} (det = {d})")
-    d_inv = ring.inv(d)
-    mask = ring.mask
-    (a0, b0), (c0, d0) = a.rows
-    return RingMatrix(
-        ((d_inv * d0 & mask, -d_inv * b0 & mask), (-d_inv * c0 & mask, d_inv * a0 & mask))
-    )
-
-
-def _invert_gauss(a: RingMatrix, ring: RingParams) -> RingMatrix:
     n = a.dim
     mask = ring.mask
     mod = ring.modulus

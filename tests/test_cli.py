@@ -122,14 +122,22 @@ class TestSealOpen:
         assert code == 2
 
     def test_key_role_confusion_rejected(self, tmp_path, keyfiles, capsys):
+        # both directions: a private key where a public one belongs, and a
+        # public key where a private one belongs
         src = tmp_path / "m.txt"
         src.write_bytes(b"msg")
-        code = cli.main([
-            "seal", "--in", str(src), "--out", str(tmp_path / "m.hcie"),
-            "--to", str(keyfiles["bob.key"]),  # private where public belongs
-            "--from", str(keyfiles["alice.key"]),
-        ])
-        assert code == 2
+        out = tmp_path / "m.hcie"
+        for to, sender, role in [
+            ("bob.key", "alice.key", "holds a private key where a public key is required"),
+            ("bob.pub", "alice.pub", "holds a public key where a private key is required"),
+        ]:
+            code = cli.main([
+                "seal", "--in", str(src), "--out", str(out),
+                "--to", str(keyfiles[to]), "--from", str(keyfiles[sender]),
+            ])
+            assert code == 2
+            assert not out.exists()
+            assert role in capsys.readouterr().err
 
 
 class TestSignVerify:

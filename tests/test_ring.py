@@ -179,7 +179,8 @@ class TestInvert:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 8, 16])
     def test_two_sided_inverse(self, dim):
-        # dim 2 takes the closed-form adjugate, every other dim Gauss-Jordan
+        # one Gauss-Jordan path at every dim: 2 is the Hill key factor size,
+        # 16 the default key size, the others the sizes around them
         rng = random.Random(dim)
         for _ in range(10):
             a = ring.random_invertible(dim, BYTE_RING, rng)
@@ -197,15 +198,18 @@ class TestInvert:
     @pytest.mark.parametrize(
         "dim, m, digest",
         [
+            (2, 8, "56f4b39f6beb8504e7e00b1e03432f1fca0c54bfa8fed6761373b7245166f16f"),
+            (2, 16, "7976c0d4eb0224513ed07a70fe44510c3d90784abfb50a4e7430be33a79135c3"),
             (3, 8, "638029d51b14c6510eae1a2280a01b94a6e0967f61b20af7b886dd8c7fee73c0"),
             (3, 16, "c3b1ad37dbdd405a256fb244599ce224cf1a69d06e1bde6dce9f3873e0bdd822"),
             (4, 8, "eca2eb0195b3357ebf71cf33c512a3b6366ccac2d37f799ead2caff9cdfc4a1a"),
             (4, 16, "e628915fc404c6c18392a1404e3d381b11c417f706c16ab5dfe92f2f619d1605"),
         ],
     )
-    def test_3x3_and_4x4_match_cofactor_inverses(self, dim, m, digest):
-        # SHA-256 over 50 inverses as computed by the cofactor-expansion
-        # adjugate, which inverted these sizes until Gauss-Jordan took over
+    def test_small_inverses_match_closed_form_digests(self, dim, m, digest):
+        # SHA-256 over 50 inverses as computed by a closed-form adjugate
+        # (det^-1 * [[d, -b], [-c, a]] at 2x2, cofactor expansion at 3x3 and
+        # 4x4), which inverted these sizes before Gauss-Jordan took over
         r = RingParams(m)
         rng = random.Random(f"invert {dim} {m}")
         h = hashlib.sha256()
