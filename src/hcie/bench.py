@@ -34,7 +34,6 @@ MIN_PAYLOAD = 1024
 #: Payloads are expanded from this fixed seed so separate runs are comparable.
 PAYLOAD_SEED = 0x48434945
 _BENCH_HILL_SEED = bytes(range(32))
-DIM_LOG2 = 4  # every scheme is timed at seal's default 16x16 Hill key
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,7 @@ def run_bench(
         if size < MIN_PAYLOAD:
             raise ValueError(f"payload sizes below {MIN_PAYLOAD} bytes are not measurable")
 
-    hill_key = hill.derive_key(_BENCH_HILL_SEED, DIM_LOG2)
+    hill_key = hill.derive_key(_BENCH_HILL_SEED, hill.DEFAULT_DIM_LOG2)
     recipient_pub, recipient_priv = rsa.keygen(rsa_bits, rng)
     sender_pub, sender_priv = rsa.keygen(rsa_bits, rng)
 
@@ -127,9 +126,7 @@ def run_bench(
         # hybrid is timed right after hill_only, not after the minutes-long
         # rsa_only leg, so that machine-speed drift does not enter their ratio
         hybrid_med = _timed_runs(
-            lambda: envelope_mod.seal(
-                payload, recipient_pub, sender_priv, sender_pub, rng, DIM_LOG2
-            ),
+            lambda: envelope_mod.seal(payload, recipient_pub, sender_priv, sender_pub, rng),
             lambda env: envelope_mod.open_envelope(env, recipient_priv, sender_pub),
             payload,
             repetitions,

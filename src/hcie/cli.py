@@ -14,29 +14,16 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from . import envelope as envelope_mod
-from . import rsa, transfer
+from . import hill, rsa, transfer
 from .errors import HcieError, KeyFileError
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on bad usage by default; this tool's contract says 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _load_public(path) -> rsa.RsaPublicKey:
+def _load(path, role: str):
+    """The key in ``path``, whose ``role`` must be "public" or "private"."""
     key = rsa.parse_key(Path(path).read_bytes())
-    if not isinstance(key, rsa.RsaPublicKey):
-        raise KeyFileError(f"{path} holds a private key where a public key is required")
-    return key
-
-
-def _load_private(path) -> rsa.RsaPrivateKey:
-    key = rsa.parse_key(Path(path).read_bytes())
-    if not isinstance(key, rsa.RsaPrivateKey):
-        raise KeyFileError(f"{path} holds a public key where a private key is required")
+    found = "public" if isinstance(key, rsa.RsaPublicKey) else "private"
+    if found != role:
+        raise KeyFileError(f"{path} holds a {found} key where a {role} key is required")
     return key
 
 
@@ -57,8 +44,8 @@ def cmd_keygen(args) -> int:
 
 def cmd_seal(args) -> int:
     plaintext = Path(args.infile).read_bytes()
-    recipient = _load_public(args.to)
-    sender = _load_private(args.sender)
+    recipient = _load(args.to, "public")
+    sender = _load(args.sender, "private")
     env = envelope_mod.seal(
         plaintext, recipient, sender, sender.public(), dim_log2=args.dim_log2
     )
@@ -69,8 +56,8 @@ def cmd_seal(args) -> int:
 
 def cmd_open(args) -> int:
     env = envelope_mod.parse(Path(args.infile).read_bytes())
-    recipient = _load_private(args.to)
-    sender_pub = _load_public(args.sender)
+    recipient = _load(args.to, "private")
+    sender_pub = _load(args.sender, "public")
     plaintext = envelope_mod.open_envelope(env, recipient, sender_pub)
     Path(args.out).write_bytes(plaintext)
     print(f"opened {len(plaintext)} bytes into {args.out}")
@@ -78,7 +65,7 @@ def cmd_open(args) -> int:
 
 
 def cmd_sign(args) -> int:
-    priv = _load_private(args.key)
+    priv = _load(args.key, "private")
     message = Path(args.infile).read_bytes()
     Path(args.out).write_bytes(rsa.sign(priv, message))
     print(f"signed {args.infile} into {args.out}")
@@ -86,7 +73,7 @@ def cmd_sign(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    pub = _load_public(args.key)
+    pub = _load(args.key, "public")
     message = Path(args.infile).read_bytes()
     if not rsa.verify(pub, message, Path(args.sig).read_bytes()):
         print("error: signature verification failed", file=sys.stderr)
@@ -96,8 +83,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_send(args) -> int:
-    recipient = _load_public(args.to)
-    sender = _load_private(args.sender)
+    recipient = _load(args.to, "public")
+    sender = _load(args.sender, "private")
     ack = transfer.send_file(
         args.host, args.port, args.file, recipient, sender, sender.public()
     )
@@ -106,7 +93,7 @@ def cmd_send(args) -> int:
 
 
 def cmd_recv(args) -> int:
-    priv = _load_private(args.key)
+    priv = _load(args.key, "private")
     trusted = transfer.load_trusted_keys(args.trust)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -133,7 +120,7 @@ def cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="hcie", description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(prog="hcie", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("keygen", help="generate an RSA key pair")
@@ -147,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--to", required=True, help="recipient public key file")
     p.add_argument("--from", dest="sender", required=True, help="sender private key file")
-    p.add_argument("--dim-log2", type=int, default=4, help="Hill key dimension exponent")
+    p.add_argument("--dim-log2", type=int, default=hill.DEFAULT_DIM_LOG2,
+                   help="Hill key dimension exponent")
     p.set_defaults(func=cmd_seal)
 
     p = sub.add_parser("open", help="decrypt and verify an envelope")
@@ -196,8 +184,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return 1 if exc.code == 2 else exc.code
     try:
         return args.func(args)
     except HcieError as exc:

@@ -75,7 +75,7 @@ def seal(
     sender: rsa.RsaPrivateKey,
     sender_pub: rsa.RsaPublicKey,
     rng: Optional[random.Random] = None,
-    dim_log2: int = 4,
+    dim_log2: int = hill.DEFAULT_DIM_LOG2,
 ) -> Envelope:
     """Seal a payload: fresh seed, Hill-encrypt, encapsulate, sign.
 

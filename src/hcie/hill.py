@@ -51,6 +51,8 @@ SEED_LEN = 32
 #: Tensor height bounds: keys go from 2x2 (s=1) up to 64x64 (s=6).
 MIN_DIM_LOG2 = 1
 MAX_DIM_LOG2 = 6
+#: Seals default to the 16x16 key (s=4).
+DEFAULT_DIM_LOG2 = 4
 
 #: Bytes of blocks the stream kernel works on at a time.  A chunk's byte
 #: planes, its rows of the output (the second plane buffer) and the scratch
@@ -91,7 +93,7 @@ class HillKey:
     @classmethod
     def from_matrix(cls, forward: RingMatrix) -> "HillKey":
         """Wrap an explicit matrix as a one-factor key (raises if singular)."""
-        if not is_invertible(forward, BYTE_RING):
+        if not is_invertible(forward):
             raise NotInvertibleError("matrix not a unit mod 2^8")
         return cls(factors=(forward,))
 

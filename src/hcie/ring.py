@@ -43,13 +43,6 @@ class RingParams:
     def mask(self) -> int:
         return (1 << self.m) - 1
 
-    def reduce(self, x: int) -> int:
-        return x & self.mask
-
-    def is_unit(self, x: int) -> bool:
-        """A residue is invertible iff it is odd."""
-        return x & 1 == 1
-
     def inv(self, x: int) -> int:
         """Multiplicative inverse of a unit, mod 2^m."""
         if x & 1 == 0:
@@ -165,7 +158,7 @@ def det(a: RingMatrix, ring: RingParams) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return ring.reduce(sign * m[n - 1][n - 1])
+    return sign * m[n - 1][n - 1] & ring.mask
 
 
 def independent_mod2(vectors: Iterable[Sequence[int]]) -> list:
@@ -188,11 +181,12 @@ def independent_mod2(vectors: Iterable[Sequence[int]]) -> list:
     return kept
 
 
-def is_invertible(a: RingMatrix, ring: RingParams) -> bool:
+def is_invertible(a: RingMatrix) -> bool:
     """True iff det(a) is odd, i.e. a is a unit of the matrix ring.
 
-    Invertibility mod 2^m only depends on the matrix mod 2: a is a unit iff
-    its rows are independent over GF(2).
+    Invertibility mod 2^m only depends on the matrix mod 2, so no ring is
+    needed: a is a unit of every Z_{2^m} iff its rows are independent over
+    GF(2).
     """
     return len(independent_mod2(a.rows)) == a.dim
 
@@ -206,7 +200,6 @@ def invert(a: RingMatrix, ring: RingParams) -> RingMatrix:
     """
     n = a.dim
     mask = ring.mask
-    mod = ring.modulus
     # augmented system [a | I], reduced in place
     work = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a.rows)]
     for col in range(n):
@@ -214,7 +207,7 @@ def invert(a: RingMatrix, ring: RingParams) -> RingMatrix:
         if pivot is None:
             raise NotInvertibleError(f"matrix not a unit mod 2^{ring.m}")
         work[col], work[pivot] = work[pivot], work[col]
-        inv_p = pow(work[col][col], -1, mod)
+        inv_p = ring.inv(work[col][col])
         work[col] = [(x * inv_p) & mask for x in work[col]]
         for r in range(n):
             if r != col and work[r][col]:
@@ -256,6 +249,6 @@ def random_invertible(dim: int, ring: RingParams, rng: random.Random) -> RingMat
     """
     for _ in range(_MAX_DRAWS):
         cand = random_matrix(dim, ring, rng)
-        if is_invertible(cand, ring):
+        if is_invertible(cand):
             return cand
     raise RuntimeError(f"no invertible matrix found in {_MAX_DRAWS} draws")

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Dict, Optional
 
 from . import envelope as envelope_mod
-from . import rsa
+from . import hill, rsa
 from .errors import (
     ConnectionClosedError,
     FrameTooLargeError,
@@ -83,8 +83,8 @@ def _read_exact(stream: BinaryIO, count: int) -> bytes:
 def write_frame(stream: BinaryIO, kind: FrameKind, *parts: bytes) -> None:
     """Write one frame whose payload is ``parts`` in order, without joining them."""
     length = sum(len(part) for part in parts)
-    if length > 0xFFFFFFFF:
-        raise ProtocolError("payload too large for a u32 length")
+    if length > MAX_FRAME:  # the peer's read_frame would refuse it anyway
+        raise FrameTooLargeError(f"frame of {length} bytes exceeds maximum {MAX_FRAME}")
     stream.write(struct.pack(">BI", int(kind), length))
     for part in parts:
         stream.write(part)
@@ -109,7 +109,10 @@ _NAME_BAD_CHARS = ("/", "\\", "\x00")
 
 
 def validate_filename(name: str) -> None:
-    raw = name.encode("utf-8")
+    try:
+        raw = name.encode("utf-8")
+    except UnicodeEncodeError:  # a surrogate-escaped byte of a non-UTF-8 path
+        raise ProtocolError("filename is not valid UTF-8") from None
     if not name or len(raw) > 255:
         raise ProtocolError("filename must be 1..255 UTF-8 bytes")
     if any(c in name for c in _NAME_BAD_CHARS) or name in (".", ".."):
@@ -139,7 +142,7 @@ def send_file(
     sender_priv: rsa.RsaPrivateKey,
     sender_pub: rsa.RsaPublicKey,
     rng: Optional[random.Random] = None,
-    dim_log2: int = 4,
+    dim_log2: int = hill.DEFAULT_DIM_LOG2,
 ) -> AckPayload:
     """Seal a file and push it to a listening server.
 

@@ -186,6 +186,10 @@ class TestUsage:
 
     def test_unknown_subcommand(self, capsys):
         assert cli.main(["frobnicate"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: hcie ")
+        assert "hcie: error: " in err
 
     def test_unknown_flag(self, capsys):
         assert cli.main(["keygen", "--bogus"]) == 1
@@ -193,6 +197,9 @@ class TestUsage:
 
     def test_missing_required_flag(self, capsys):
         assert cli.main(["seal", "--in", "x"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "hcie seal: error: the following arguments are required" in err
 
     def test_missing_input_file(self, tmp_path, keyfiles, capsys):
         code = cli.main([

@@ -200,6 +200,16 @@ class TestFrames:
         with pytest.raises(FrameTooLargeError):
             transfer.read_frame(buf)
 
+    def test_writer_refuses_a_frame_above_max_frame(self, monkeypatch):
+        # read at call time, like read_frame, so both ends share one limit
+        monkeypatch.setattr(transfer, "MAX_FRAME", 1024)
+        buf = io.BytesIO()
+        with pytest.raises(FrameTooLargeError):
+            transfer.write_frame(buf, FrameKind.FILE, b"a" * 1000, b"b" * 25)
+        assert buf.getvalue() == b""
+        transfer.write_frame(buf, FrameKind.FILE, b"a" * 1024)
+        assert len(buf.getvalue()) == 5 + 1024
+
     def test_short_header_rejected(self):
         with pytest.raises(ConnectionClosedError):
             transfer.read_frame(io.BytesIO(b"\x01\x00"))
@@ -265,6 +275,18 @@ class TestFilePayload:
         with pytest.raises(ProtocolError, match="path separators"):
             transfer.send_file("127.0.0.1", 1, src, pub, spriv, spub)
 
+    def test_sender_refuses_a_non_utf8_name(
+        self, recipient_pair, sender_pair, tmp_path, monkeypatch
+    ):
+        pub, _ = recipient_pair
+        spub, spriv = sender_pair
+        # the byte 0xff comes back from the file system as the surrogate '\udcff'
+        src = tmp_path / os.fsdecode(b"\xffreport.bin")
+        src.write_bytes(b"data")
+        monkeypatch.setattr(socket, "create_connection", lambda *a, **k: pytest.fail("connected"))
+        with pytest.raises(ProtocolError, match="filename is not valid UTF-8"):
+            transfer.send_file("127.0.0.1", 1, src, pub, spriv, spub)
+
 
 class TestLoopback:
     def test_single_file(self, server, recipient_pair, sender_pair, tmp_path):
@@ -279,6 +301,18 @@ class TestLoopback:
         assert ack.status == 0
         assert ack.digest == rsa.sha256(data)
         assert (out_dir / "note.txt").read_bytes() == data
+
+    def test_file_above_max_frame_is_refused_before_its_frame(
+        self, server, recipient_pair, sender_pair, tmp_path, monkeypatch
+    ):
+        srv, out_dir = server
+        pub, _ = recipient_pair
+        spub, spriv = sender_pair
+        monkeypatch.setattr(transfer, "MAX_FRAME", 64 * 1024)
+        (tmp_path / "big.bin").write_bytes(bytes(100_000))
+        with pytest.raises(FrameTooLargeError):
+            transfer.send_file("127.0.0.1", srv.port, tmp_path / "big.bin", pub, spriv, spub)
+        assert list(out_dir.iterdir()) == []
 
     def test_one_hash_of_the_plaintext_per_side(
         self, server, recipient_pair, sender_pair, tmp_path, monkeypatch
