@@ -30,6 +30,8 @@ from .errors import BenchVerificationError, DecapsulationError
 
 CSV_HEADER = ["scheme", "payload_bytes", "elapsed_seconds", "throughput_mb_s"]
 MIN_PAYLOAD = 1024
+REPETITIONS = 3
+RSA_BITS = 1024
 
 #: Payloads are expanded from this fixed seed so separate runs are comparable.
 PAYLOAD_SEED = 0x48434945
@@ -41,7 +43,10 @@ class BenchRecord:
     scheme: str
     payload_bytes: int
     elapsed_seconds: float
-    throughput_mb_s: float
+
+    @property
+    def throughput_mb_s(self) -> float:
+        return self.payload_bytes / self.elapsed_seconds / 1e6
 
 
 def payload_for(size: int) -> bytes:
@@ -91,12 +96,7 @@ def _timed_runs(
     return statistics.median(elapsed)
 
 
-def run_bench(
-    sizes: Sequence[int],
-    rng: Optional[random.Random] = None,
-    repetitions: int = 3,
-    rsa_bits: int = 1024,
-) -> List[BenchRecord]:
+def run_bench(sizes: Sequence[int], rng: Optional[random.Random] = None) -> List[BenchRecord]:
     """Time all three schemes at each payload size.
 
     Returns one record per (size, scheme), schemes in the fixed order
@@ -110,8 +110,8 @@ def run_bench(
             raise ValueError(f"payload sizes below {MIN_PAYLOAD} bytes are not measurable")
 
     hill_key = hill.derive_key(_BENCH_HILL_SEED, hill.DEFAULT_DIM_LOG2)
-    recipient_pub, recipient_priv = rsa.keygen(rsa_bits, rng)
-    sender_pub, sender_priv = rsa.keygen(rsa_bits, rng)
+    recipient_pub, recipient_priv = rsa.keygen(RSA_BITS, rng)
+    sender_pub, sender_priv = rsa.keygen(RSA_BITS, rng)
 
     records = []
     for size in sizes:
@@ -121,7 +121,7 @@ def run_bench(
             lambda: hill.encrypt_stream(hill_key, payload),
             lambda ct: hill.decrypt_stream(hill_key, ct),
             payload,
-            repetitions,
+            REPETITIONS,
         )
         # hybrid is timed right after hill_only, not after the minutes-long
         # rsa_only leg, so that machine-speed drift does not enter their ratio
@@ -129,7 +129,7 @@ def run_bench(
             lambda: envelope_mod.seal(payload, recipient_pub, sender_priv, sender_pub, rng),
             lambda env: envelope_mod.open_envelope(env, recipient_priv, sender_pub),
             payload,
-            repetitions,
+            REPETITIONS,
         )
         rsa_med = _timed_runs(
             lambda: _rsa_encrypt_chunks(
@@ -137,23 +137,14 @@ def run_bench(
             ),
             lambda chunks: _rsa_decrypt_chunks(recipient_priv, chunks),
             payload,
-            repetitions,
+            REPETITIONS,
         )
         records += [
-            _record("hill_only", size, hill_med),
-            _record("rsa_only", size, rsa_med),
-            _record("hybrid", size, hybrid_med),
+            BenchRecord("hill_only", size, hill_med),
+            BenchRecord("rsa_only", size, rsa_med),
+            BenchRecord("hybrid", size, hybrid_med),
         ]
     return records
-
-
-def _record(scheme: str, size: int, elapsed: float) -> BenchRecord:
-    return BenchRecord(
-        scheme=scheme,
-        payload_bytes=size,
-        elapsed_seconds=elapsed,
-        throughput_mb_s=size / elapsed / 1e6,
-    )
 
 
 def write_csv(records: Sequence[BenchRecord], path) -> None:
@@ -164,20 +155,3 @@ def write_csv(records: Sequence[BenchRecord], path) -> None:
             writer.writerow(
                 [rec.scheme, rec.payload_bytes, repr(rec.elapsed_seconds), repr(rec.throughput_mb_s)]
             )
-
-
-def read_csv(path) -> List[BenchRecord]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header!r}")
-        return [
-            BenchRecord(
-                scheme=row[0],
-                payload_bytes=int(row[1]),
-                elapsed_seconds=float(row[2]),
-                throughput_mb_s=float(row[3]),
-            )
-            for row in reader
-        ]

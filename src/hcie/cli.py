@@ -27,6 +27,12 @@ def _load(path, role: str):
     return key
 
 
+def _port(value: str) -> int:
+    if not value.isdecimal() or int(value) > 65535:
+        raise argparse.ArgumentTypeError(f"{value} is not a TCP port (0-65535)")
+    return int(value)
+
+
 def cmd_keygen(args) -> int:
     pub, priv = rsa.keygen(args.bits, insecure=args.insecure)
     pub_path = Path(f"{args.out}.pub")
@@ -159,14 +165,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("send", help="seal a file and push it to a server")
     p.add_argument("--host", required=True)
-    p.add_argument("--port", type=int, required=True)
+    p.add_argument("--port", type=_port, required=True)
     p.add_argument("--file", required=True)
     p.add_argument("--to", required=True, help="recipient public key file")
     p.add_argument("--from", dest="sender", required=True, help="sender private key file")
     p.set_defaults(func=cmd_send)
 
     p = sub.add_parser("recv", help="receive envelopes over TCP")
-    p.add_argument("--port", type=int, required=True)
+    p.add_argument("--port", type=_port, required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--key", required=True, help="recipient private key file")
     p.add_argument("--trust", required=True, help="directory of trusted sender public keys")

@@ -7,11 +7,13 @@ layer only ever pushes a 32-byte session seed and a digest through these
 primitives.  Encapsulated seeds and signatures leave and enter this module
 as modulus-width big-endian bytes; no other module converts them to integers.
 
-Key generation draws primes at ``bits/2`` with 40 Miller-Rabin rounds and
-uses the Carmichael function lcm(p-1, q-1) for the private exponent.  Every
-private-key operation goes through :func:`_private`, which works mod p and
-mod q separately (CRT) and checks its result against the public exponent
-before releasing it.
+Key generation draws primes at ``bits/2`` with 40 Miller-Rabin rounds.
+The public exponent is always e = 65537, and a prime p = 1 (mod e) is
+drawn again, so e is invertible mod the Carmichael function
+lcm(p-1, q-1), which gives the private exponent.  Every private-key
+operation goes through :func:`_private`, which works mod p and mod q
+separately (CRT) and checks its result against the public exponent before
+releasing it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Optional, Tuple, Union
 from .errors import DecapsulationError, KeyFileError, RsaFaultError
 
 MILLER_RABIN_ROUNDS = 40
-DEFAULT_PUBLIC_EXPONENT = 65537
+PUBLIC_EXPONENT = 65537
 #: Key sizes accepted without the insecure flag.
 STANDARD_BITS = (512, 1024, 2048)
 #: Smallest size the insecure test profile will generate.
@@ -110,22 +112,14 @@ def is_probable_prime(n: int, rng: Optional[random.Random] = None) -> bool:
 
 def _random_prime(bits: int, rng: Optional[random.Random]) -> int:
     # Top two bits set so the product of two such primes has exactly
-    # 2*bits bits; low bit set for oddness.
+    # 2*bits bits; low bit set for oddness.  The prime e divides p-1 only
+    # if p = 1 (mod e), so skipping those primes keeps gcd(e, p-1) = 1.
     rng = rng or secrets.SystemRandom()
     while True:
         cand = rng.getrandbits(bits)
         cand |= (1 << (bits - 1)) | (1 << (bits - 2)) | 1
-        if is_probable_prime(cand, rng=rng):
+        if is_probable_prime(cand, rng=rng) and cand % PUBLIC_EXPONENT != 1:
             return cand
-
-
-def _select_public_exponent(lam: int, n: int) -> int:
-    e = DEFAULT_PUBLIC_EXPONENT
-    while math.gcd(e, lam) != 1:
-        e += 2
-        if e >= n:
-            raise ValueError("modulus too small to admit a public exponent")
-    return e
 
 
 def keygen(
@@ -152,10 +146,9 @@ def keygen(
             break
     if q > p:
         p, q = q, p
-    lam = math.lcm(p - 1, q - 1)
     n = p * q
-    e = _select_public_exponent(lam, n)
-    d = pow(e, -1, lam)
+    e = PUBLIC_EXPONENT
+    d = pow(e, -1, math.lcm(p - 1, q - 1))
     return RsaPublicKey(n, e), RsaPrivateKey(n=n, e=e, d=d, p=p, q=q)
 
 

@@ -355,7 +355,7 @@ def test_c10_benchmark_throughput_ratio():
     # throughput within 2x of hybrid.
     with Criterion(10, "benchmark, hybrid vs chunked RSA at 10 MiB") as c:
         size = 10 * 1024 * 1024
-        records = bench.run_bench([size], random.Random(1010), repetitions=3, rsa_bits=1024)
+        records = bench.run_bench([size], random.Random(1010))
         by_scheme = {rec.scheme: rec for rec in records}
         hill_rec = by_scheme["hill_only"]
         rsa_rec = by_scheme["rsa_only"]

@@ -1,3 +1,4 @@
+import csv
 import random
 
 import pytest
@@ -8,9 +9,9 @@ from hcie.errors import BenchVerificationError
 
 @pytest.fixture(scope="module")
 def small_run():
-    # one repetition at small sizes keeps this a functional test, not a
-    # measurement; the measured properties live in the acceptance suite
-    return bench.run_bench([2048, 4096], random.Random(41), repetitions=1, rsa_bits=512)
+    # small sizes keep this a functional test, not a measurement; the
+    # measured properties live in the acceptance suite
+    return bench.run_bench([2048, 4096], random.Random(41))
 
 
 class TestRunBench:
@@ -88,7 +89,7 @@ class TestVerification:
             return decrypt(priv, chunks)
 
         monkeypatch.setattr(bench, "_rsa_decrypt_chunks", counting)
-        bench.run_bench([2048], random.Random(43), repetitions=3, rsa_bits=512)
+        bench.run_bench([2048], random.Random(43))
         assert len(calls) == 1
 
     def test_rsa_chunking_round_trips(self, recipient_pair):
@@ -120,7 +121,12 @@ class TestCsv:
     def test_round_trip(self, small_run, tmp_path):
         path = tmp_path / "bench.csv"
         bench.write_csv(small_run, path)
-        assert bench.read_csv(path) == list(small_run)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows == [
+            [r.scheme, str(r.payload_bytes), repr(r.elapsed_seconds), repr(r.throughput_mb_s)]
+            for r in small_run
+        ]
 
     def test_header_is_exact(self, small_run, tmp_path):
         path = tmp_path / "bench.csv"
@@ -133,9 +139,3 @@ class TestCsv:
         bench.write_csv(small_run, path)
         rows = path.read_text().splitlines()
         assert len(rows) == 1 + 3 * 2  # header + 3 schemes x 2 sizes
-
-    def test_foreign_header_rejected(self, tmp_path):
-        path = tmp_path / "alien.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError):
-            bench.read_csv(path)

@@ -1,8 +1,10 @@
 """The demos and the perfbench tracer use the package from outside it;
 check that both still work against the current modules."""
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -58,6 +60,32 @@ def test_traced_layers_resolve():
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert callable(owner), name
+
+
+def test_perfbench_calls_bind():
+    # perfbench/ calls the package by position and keyword; a signature
+    # change that breaks one of those calls would otherwise only show when
+    # the benchmark runs
+    calls = [
+        (path.name, node)
+        for path in sorted((ROOT / "perfbench").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in {"cli", "envelope", "hill", "rsa", "transfer"}
+    ]
+    assert calls
+    for name, call in calls:
+        where = f"{name}:{call.lineno} {call.func.value.id}.{call.func.attr}"
+        # a starred argument cannot be bound without running the call
+        assert not any(isinstance(arg, ast.Starred) for arg in call.args), where
+        assert all(kw.arg for kw in call.keywords), where
+        target = getattr(importlib.import_module(f"hcie.{call.func.value.id}"), call.func.attr)
+        try:
+            inspect.signature(target).bind(*call.args, **{kw.arg: kw for kw in call.keywords})
+        except TypeError as exc:
+            pytest.fail(f"{where}: {exc}")
 
 
 def test_every_traced_layer_records_a_span(recipient_pair, sender_pair, tmp_path):

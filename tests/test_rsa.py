@@ -73,6 +73,19 @@ class TestPrimality:
         assert not rsa.is_probable_prime(p * (2**61 - 1))
 
 
+class _Planted(random.Random):
+    """A generator whose first ``getrandbits`` call returns ``PRIME``, a
+    64-bit prime = 1 (mod 65537), so 65537 divides PRIME - 1."""
+
+    PRIME = 0xC00000000002C003
+
+    def getrandbits(self, k):
+        if not getattr(self, "planted", False):
+            self.planted = True
+            return self.PRIME
+        return super().getrandbits(k)
+
+
 class TestKeygen:
     def test_exact_bit_length(self, recipient_pair):
         pub, priv = recipient_pair
@@ -111,6 +124,16 @@ class TestKeygen:
             rsa.keygen(16, insecure=True)
         pub, priv = rsa.keygen(64, random.Random(26), insecure=True)
         assert pub.n.bit_length() == 64
+
+    def test_public_exponent_is_always_65537(self, recipient_pair, sender_pair, other_pair):
+        assert rsa.is_probable_prime(_Planted.PRIME)
+        assert _Planted.PRIME % 65537 == 1
+        # the planted prime is drawn again rather than moving e off 65537
+        pub, priv = rsa.keygen(128, _Planted(7), insecure=True)
+        assert pub.e == priv.e == 65537
+        assert _Planted.PRIME not in (priv.p, priv.q)
+        for pair_pub, pair_priv in (recipient_pair, sender_pair, other_pair):
+            assert pair_pub.e == pair_priv.e == 65537
 
     def test_textbook_consistency(self, textbook_priv):
         priv = textbook_priv
