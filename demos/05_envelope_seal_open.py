@@ -31,7 +31,7 @@ print("  sender fingerprint:", env.sender_fingerprint.hex()[:24], "...")
 
 # --- the byte format ---------------------------------------------------------
 blob = envelope.serialize(env)
-print("\nserialized:", len(blob), "bytes, magic =", blob[:4], " version =", blob[4])
+print("\nserialized:", len(blob), "bytes, magic =", bytes(blob[:4]), " version =", blob[4])
 assert envelope.parse(blob) == env
 print("parse(serialize(env)) round-trips field-for-field")
 
@@ -52,7 +52,7 @@ except SignatureError as exc:
 # corrupted final block usually dies at padding validation, anywhere else
 # survives to the signature check and dies there.
 tampered = dataclasses.replace(
-    env, ciphertext=env.ciphertext[:-1] + bytes([env.ciphertext[-1] ^ 1])
+    env, ciphertext=bytes(env.ciphertext[:-1]) + bytes([env.ciphertext[-1] ^ 1])
 )
 try:
     envelope.open_envelope(tampered, bob_priv, alice_pub)

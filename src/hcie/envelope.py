@@ -16,19 +16,23 @@ The seed and signature fields hold the bytes :mod:`rsa` returns, unchanged.
 Opening never returns partial plaintext: every check (decapsulation,
 padding, recorded length, signature, sender fingerprint) must pass first.
 
-The ciphertext of a sealed :class:`Envelope` is the ``bytearray`` the Hill
-kernel wrote; that of a parsed one is a read-only ``memoryview`` into the
-bytes given to :func:`parse`, so the envelope keeps those bytes alive.
-:func:`open_envelope` returns the plaintext as the ``bytearray`` it was
-decrypted into.
+:func:`seal` builds the serialized envelope in one ``bytearray``: the Hill
+kernel writes the ciphertext behind room for the header, which is packed
+once the seed is encapsulated and the plaintext signed.  The ciphertext of
+a sealed :class:`Envelope` is a read-only ``memoryview`` into that buffer,
+and :func:`serialize` returns the buffer itself, so changing the returned
+bytes changes the envelope.  The ciphertext of a parsed envelope is a
+read-only ``memoryview`` into the bytes given to :func:`parse`, so the
+envelope keeps those bytes alive.  :func:`open_envelope` returns the
+plaintext as the ``bytearray`` it was decrypted into.
 """
 
 from __future__ import annotations
 
 import random
 import struct
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Optional, Union
 
 from . import hill, rsa
 from .errors import (
@@ -52,6 +56,11 @@ class Envelope:
     signature: bytes
     plaintext_len: int
     ciphertext: bytes
+    #: The v1 bytes that :func:`seal` wrote; ``dataclasses.replace`` leaves
+    #: it unset, so a changed copy is encoded from its fields.
+    _serialized: Optional[bytearray] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if not hill.MIN_DIM_LOG2 <= self.dim_log2 <= hill.MAX_DIM_LOG2:
@@ -80,22 +89,27 @@ def seal(
     """Seal a payload: fresh seed, Hill-encrypt, encapsulate, sign.
 
     The signature covers the plaintext, not the ciphertext, so it is checked
-    after decryption on the receiving side.
+    after decryption on the receiving side.  The kernel runs first, writing
+    behind room for the header: the seed and signature are k bytes each,
+    so the header's length is known before either exists.
     """
     if sender_pub.n != sender.n or sender_pub.e != sender.e:
         raise ValueError("sender_pub does not match the sender private key")
     seed = hill.random_seed(rng)
     key = hill.derive_key(seed, dim_log2)
-    ciphertext = hill.encrypt_stream(key, plaintext)
-    encapsulated = rsa.encrypt_seed(recipient, seed, rng)
-    return Envelope(
+    header_len = _HEADER.size + 4 + recipient.byte_length() + 4 + sender.byte_length() + 16
+    buf = hill.encrypt_stream(key, plaintext, header_len)
+    env = Envelope(
         dim_log2=dim_log2,
         sender_fingerprint=rsa.fingerprint(sender_pub),
-        encapsulated_seed=encapsulated,
+        encapsulated_seed=rsa.encrypt_seed(recipient, seed, rng),
         signature=rsa.sign(sender, plaintext),
         plaintext_len=len(plaintext),
-        ciphertext=ciphertext,
+        ciphertext=memoryview(buf).toreadonly()[header_len:],
     )
+    memoryview(buf)[:header_len] = _header(env)  # raises if the lengths disagree
+    object.__setattr__(env, "_serialized", buf)
+    return env
 
 
 def open_envelope(
@@ -120,7 +134,8 @@ def open_envelope(
     return plaintext
 
 
-def serialize(env: Envelope) -> bytes:
+def _header(env: Envelope) -> bytes:
+    """Every v1 byte in front of the ciphertext."""
     parts = [
         _HEADER.pack(MAGIC, VERSION, env.dim_log2, 0, env.sender_fingerprint),
         struct.pack(">I", len(env.encapsulated_seed)),
@@ -128,9 +143,17 @@ def serialize(env: Envelope) -> bytes:
         struct.pack(">I", len(env.signature)),
         env.signature,
         struct.pack(">QQ", env.plaintext_len, len(env.ciphertext)),
-        env.ciphertext,
     ]
     return b"".join(parts)
+
+
+def serialize(env: Envelope) -> Union[bytes, bytearray]:
+    """The v1 bytes of ``env``.  For an envelope from :func:`seal` that is
+    the buffer its ciphertext views, not a copy; any other is encoded from
+    its fields."""
+    if env._serialized is not None:
+        return env._serialized
+    return b"".join([_header(env), env.ciphertext])
 
 
 def _take(data: memoryview, offset: int, count: int, what: str) -> bytes:

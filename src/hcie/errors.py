@@ -108,6 +108,12 @@ class ConnectionClosedError(ProtocolError):
     """The connection ended mid-frame."""
 
 
+class ServerBusyError(HcieError):
+    """The server already holds ``transfer.MAX_CONNECTIONS`` connections."""
+
+    reason = "server busy"
+
+
 class TransferError(HcieError):
     """A file transfer failed; ``stage`` names the step that failed."""
 

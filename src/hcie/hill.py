@@ -231,19 +231,22 @@ def _apply(
             rows[:, j] = plane
 
 
-def encrypt_stream(key: HillKey, plaintext: bytes) -> bytearray:
+def encrypt_stream(key: HillKey, plaintext: bytes, headroom: int = 0) -> bytearray:
     """Pad and encrypt a byte string block by block (ECB over blocks).
 
     Bytes map to ring elements by identity and block position i is vector
     row i.  The whole blocks are read in place; only the last, padded
-    block is a copy.  The kernel writes straight into the returned buffer.
+    block is a copy.  The kernel writes straight into the returned buffer,
+    behind its first ``headroom`` bytes, which are left zero for the
+    caller (:func:`~hcie.envelope.seal` packs the envelope header there).
     """
     n = key.dim
     full = len(plaintext) // n
     body = np.frombuffer(plaintext, dtype=np.uint8, count=full * n).reshape(full, n)
     tail = np.frombuffer(pad(plaintext[full * n :], n), dtype=np.uint8)
-    buf = bytearray((full + 1) * n)
-    _apply(key.factors, body, np.frombuffer(buf, dtype=np.uint8).reshape(-1, n), tail)
+    buf = bytearray(headroom + (full + 1) * n)
+    out = np.frombuffer(buf, dtype=np.uint8, offset=headroom).reshape(-1, n)
+    _apply(key.factors, body, out, tail)
     return buf
 
 

@@ -18,6 +18,7 @@ import socket
 import socketserver
 import struct
 import tempfile
+import threading
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
@@ -30,6 +31,7 @@ from .errors import (
     FrameTooLargeError,
     HcieError,
     ProtocolError,
+    ServerBusyError,
     TransferError,
 )
 
@@ -38,6 +40,8 @@ logger = logging.getLogger(__name__)
 MAX_FRAME = 256 * 1024 * 1024
 HELLO_PAYLOAD = b"hciv1"
 CONNECTION_TIMEOUT = 30.0
+#: Connections a server holds at once, as many as its listen backlog.
+MAX_CONNECTIONS = 64
 
 
 class FrameKind(IntEnum):
@@ -247,20 +251,45 @@ def _write_atomic(out_dir: Path, name: str, data: bytes) -> Path:
         return _claim_output_path(out_dir, name, tmp.name)
 
 
+def _send_err(stream: BinaryIO, addr, exc: Exception) -> None:
+    """Log why a connection failed and send the peer its ERR reason."""
+    if isinstance(exc, HcieError):
+        reason = exc.reason
+    elif isinstance(exc, TimeoutError):  # the peer stalled
+        reason = "timeout"
+    else:
+        reason = "internal error"
+    logger.info("connection from %s failed: %s", addr, exc)
+    try:
+        write_frame(stream, FrameKind.ERR, reason.encode("utf-8"))
+    except OSError:
+        pass
+
+
+def _close(stream: BinaryIO, conn: socket.socket) -> None:
+    try:
+        stream.close()
+    except OSError:  # a failed ERR write leaves bytes to flush
+        pass
+    conn.close()
+
+
 class TransferServer(socketserver.ThreadingTCPServer):
     """Receive-only envelope server; one file per connection.
 
     Construct with ``port=0`` to bind an ephemeral port (see ``.port``),
     run :meth:`serve_forever` on a dedicated thread, and stop it with
     ``shutdown()`` while that loop runs; the port closes when it returns.
-    Each connection gets a daemon thread (backlog 64, no global cap).
-    Sessions share only the output directory, where files appear whole and
-    ``link`` never replaces a name, so they need no locking.
+    Each connection gets a daemon thread, up to ``MAX_CONNECTIONS`` at once
+    (read when the server is built); one more is answered ERR ``server
+    busy`` and closed on the accepting thread.  Sessions share only the
+    output directory, where files appear whole and ``link`` never replaces
+    a name, so they need no locking.
     """
 
     allow_reuse_address = True
     daemon_threads = True
-    request_queue_size = 64
+    request_queue_size = MAX_CONNECTIONS
 
     def __init__(
         self,
@@ -273,6 +302,7 @@ class TransferServer(socketserver.ThreadingTCPServer):
         self._recipient_priv = recipient_priv
         self._lookup = sender_pub_lookup
         self._out_dir = Path(out_dir)
+        self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
         super().__init__((host, port), None)
         self.port = self.server_address[1]
 
@@ -282,29 +312,36 @@ class TransferServer(socketserver.ThreadingTCPServer):
         finally:
             self.server_close()
 
+    def process_request(self, conn: socket.socket, addr) -> None:
+        if not self._slots.acquire(blocking=False):
+            # the accepting thread must not wait on this peer: a short ERR
+            # fits an empty send buffer, or is dropped
+            conn.setblocking(False)
+            stream = conn.makefile("wb")
+            _send_err(stream, addr, ServerBusyError("connection cap reached"))
+            _close(stream, conn)
+            return
+        try:
+            super().process_request(conn, addr)
+        except BaseException:  # no thread started, so none will release it
+            self._slots.release()
+            raise
+
+    def process_request_thread(self, conn: socket.socket, addr) -> None:
+        try:
+            super().process_request_thread(conn, addr)
+        finally:
+            self._slots.release()
+
     def finish_request(self, conn: socket.socket, addr) -> None:
         conn.settimeout(CONNECTION_TIMEOUT)
         stream = conn.makefile("rwb")
         try:
             self._session(stream)
         except (HcieError, OSError, ValueError) as exc:
-            if isinstance(exc, HcieError):
-                reason = exc.reason
-            elif isinstance(exc, TimeoutError):  # the peer stalled
-                reason = "timeout"
-            else:
-                reason = "internal error"
-            logger.info("connection from %s failed: %s", addr, exc)
-            try:
-                write_frame(stream, FrameKind.ERR, reason.encode("utf-8"))
-            except OSError:
-                pass
+            _send_err(stream, addr, exc)
         finally:
-            try:
-                stream.close()
-            except OSError:
-                pass
-            conn.close()
+            _close(stream, conn)
 
     def _session(self, stream: BinaryIO) -> None:
         hello = read_frame(stream)

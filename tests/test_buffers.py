@@ -1,7 +1,9 @@
-"""The payload buffer path: the Hill kernel fills the buffer it returns,
-``parse`` and the receiver read the ciphertext in place, and each stays
-correct against the dense-matmul oracle at every length that matters."""
+"""The payload buffer path: the Hill kernel fills the buffer it returns
+(behind the header, for ``seal``), ``parse`` and the receiver read the
+ciphertext in place, and each stays correct against the dense-matmul oracle
+and the field-by-field encoder at every length that matters."""
 
+import dataclasses
 import random
 import struct
 import tracemalloc
@@ -55,7 +57,13 @@ class TestViews:
 
     def test_buffer_types(self, recipient_pair, sender_pair):
         env = sealed(recipient_pair, sender_pair, b"types", 4)
-        assert type(env.ciphertext) is bytearray
+        assert type(env.ciphertext) is memoryview and env.ciphertext.readonly
+        blob = envelope.serialize(env)
+        assert type(blob) is bytearray
+        # the ciphertext is the tail of the serialized buffer, not a copy
+        assert np.shares_memory(
+            np.frombuffer(env.ciphertext, dtype=np.uint8), np.frombuffer(blob, dtype=np.uint8)
+        )
         _, priv = recipient_pair
         spub, _ = sender_pair
         assert type(envelope.open_envelope(env, priv, spub)) is bytearray
@@ -81,6 +89,38 @@ class TestViews:
         assert env == envelope.parse(blob)
         assert envelope.open_envelope(env, priv, spub) == payload
         assert envelope.serialize(env) == blob
+
+
+@pytest.mark.parametrize("s", [1, 4, 6])
+class TestSealedBuffer:
+    """serialize of a sealed envelope returns the buffer seal wrote; it must
+    equal the join of the fields, which encodes every other envelope."""
+
+    @staticmethod
+    def envelopes(recipient_pair, sender_pair, s):
+        n = 1 << s
+        rng = random.Random(800 + s)
+        for length in (0, n - 1, n, n + 1, 5000):
+            yield sealed(recipient_pair, sender_pair, rng.randbytes(length), s, length)
+
+    def test_buffer_equals_the_field_encoding(self, s, recipient_pair, sender_pair):
+        for env in self.envelopes(recipient_pair, sender_pair, s):
+            blob = envelope.serialize(env)
+            # replace() builds an envelope without the buffer: the join path
+            joined = envelope.serialize(dataclasses.replace(env))
+            assert type(joined) is bytes and blob == joined
+            assert envelope.parse(blob) == env
+            assert envelope.serialize(env) == blob
+
+    def test_changed_copy_does_not_alias_the_buffer(self, s, recipient_pair, sender_pair):
+        for env in self.envelopes(recipient_pair, sender_pair, s):
+            before = bytes(envelope.serialize(env))
+            flipped = bytes([env.signature[0] ^ 1]) + env.signature[1:]
+            changed = envelope.serialize(dataclasses.replace(env, signature=flipped))
+            assert changed != before
+            assert changed[:-len(env.ciphertext)] != before[:-len(env.ciphertext)]
+            assert bytes(envelope.serialize(env)) == before
+            assert envelope.parse(changed).signature == flipped
 
 
 @pytest.mark.parametrize("s", [1, 4, 6])
@@ -124,6 +164,16 @@ class TestPeakMemory:
             lambda: envelope.open_envelope(envelope.parse(data), priv, spub)
         )
         assert plaintext == payload
+        assert peak <= 1.3 * len(payload)
+
+    def test_seal_and_serialize(self, s, recipient_pair, sender_pair):
+        _, priv = recipient_pair
+        spub, _ = sender_pair
+        payload = random.Random(650 + s).randbytes(2 * MIB)
+        data, peak = peak_per_byte(
+            lambda: envelope.serialize(sealed(recipient_pair, sender_pair, payload, s))
+        )
+        assert envelope.open_envelope(envelope.parse(data), priv, spub) == payload
         assert peak <= 1.3 * len(payload)
 
     def test_encrypt_stream(self, s):

@@ -159,7 +159,7 @@ class TestEnvelopeInvariants:
     def test_ciphertext_block_multiple_enforced(self, recipient_pair, sender_pair):
         env = make_envelope(recipient_pair, sender_pair)
         with pytest.raises(EnvelopeFormatError):
-            dataclasses.replace(env, ciphertext=env.ciphertext + b"x")
+            dataclasses.replace(env, ciphertext=bytes(env.ciphertext) + b"x")
         with pytest.raises(EnvelopeFormatError):
             dataclasses.replace(env, ciphertext=b"")
 

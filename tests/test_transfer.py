@@ -128,20 +128,29 @@ def test_failed_publish_leaves_nothing(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []  # neither the name nor a temp file
 
 
-@pytest.fixture
-def server(recipient_pair, sender_pair, tmp_path):
-    """A running TransferServer on an ephemeral port, torn down after."""
+@contextlib.contextmanager
+def running_server(recipient_pair, sender_pair, out_dir):
+    """A TransferServer on an ephemeral port, serving on its own thread."""
     _, priv = recipient_pair
     spub, _ = sender_pair
-    out_dir = tmp_path / "incoming"
-    out_dir.mkdir()
     table = {rsa.fingerprint(spub): spub}
     srv = transfer.TransferServer(0, priv, table.get, out_dir)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
-    yield srv, out_dir
-    srv.shutdown()
-    thread.join(timeout=5)
+    try:
+        yield srv
+    finally:
+        srv.shutdown()
+        thread.join(timeout=5)
+
+
+@pytest.fixture
+def server(recipient_pair, sender_pair, tmp_path):
+    """A running TransferServer on an ephemeral port, torn down after."""
+    out_dir = tmp_path / "incoming"
+    out_dir.mkdir()
+    with running_server(recipient_pair, sender_pair, out_dir) as srv:
+        yield srv, out_dir
 
 
 def raw_session(port: int, payloads, timeout=5.0):
@@ -552,6 +561,78 @@ class TestLoopback:
         assert [p.name for p in out_dir.iterdir()] == [name]  # no .hcie-* temp file
 
 
+class TestConnectionCap:
+    def test_connection_over_the_cap_is_refused_at_once(
+        self, recipient_pair, sender_pair, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(transfer, "MAX_CONNECTIONS", 2)
+        pub, _ = recipient_pair
+        spub, spriv = sender_pair
+        src = tmp_path / "late.bin"
+        src.write_bytes(b"sent once a slot is free")
+        out_dir = tmp_path / "incoming"
+        out_dir.mkdir()
+        with running_server(recipient_pair, sender_pair, out_dir) as srv, \
+                contextlib.ExitStack() as stack:
+            stalled = []
+            for _ in range(2):
+                sock = stack.enter_context(
+                    socket.create_connection(("127.0.0.1", srv.port), timeout=5.0)
+                )
+                stream = stack.enter_context(sock.makefile("rwb"))
+                transfer.write_frame(stream, FrameKind.HELLO, transfer.HELLO_PAYLOAD)
+                # OK comes from the session's thread, so it holds a slot
+                assert transfer.read_frame(stream).kind == FrameKind.OK
+                stalled.append((sock, stream))
+
+            start = time.monotonic()
+            with socket.create_connection(("127.0.0.1", srv.port), timeout=5.0) as sock, \
+                    sock.makefile("rb") as stream:
+                assert transfer.read_frame(stream) == Frame(FrameKind.ERR, b"server busy")
+                assert stream.read() == b""
+            assert time.monotonic() - start < 2.0
+            with pytest.raises(TransferError, match="^hello: server busy$"):
+                transfer.send_file("127.0.0.1", srv.port, src, pub, spriv, spub)
+
+            sock, stream = stalled.pop()
+            stream.close()
+            sock.close()
+            deadline = time.monotonic() + 5.0
+            while True:
+                try:
+                    ack = transfer.send_file("127.0.0.1", srv.port, src, pub, spriv, spub)
+                    break
+                except TransferError as exc:
+                    # the closed session frees its slot just after it closes
+                    if "server busy" not in str(exc) or time.monotonic() > deadline:
+                        raise
+                    time.sleep(0.05)
+        assert ack.status == 0
+        assert (out_dir / "late.bin").read_bytes() == src.read_bytes()
+
+    def test_slot_is_released_when_the_thread_fails_to_start(
+        self, recipient_pair, sender_pair, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(transfer, "MAX_CONNECTIONS", 1)
+        pub, _ = recipient_pair
+        spub, spriv = sender_pair
+        src = tmp_path / "after.bin"
+        src.write_bytes(b"served by the freed slot")
+        out_dir = tmp_path / "incoming"
+        out_dir.mkdir()
+        with running_server(recipient_pair, sender_pair, out_dir) as srv:
+            def no_thread(self):
+                raise RuntimeError("can't start new thread")
+
+            with monkeypatch.context() as m:
+                m.setattr(threading.Thread, "start", no_thread)
+                with socket.create_connection(("127.0.0.1", srv.port), timeout=5.0) as sock:
+                    assert sock.recv(1) == b""  # closed with no session
+            ack = transfer.send_file("127.0.0.1", srv.port, src, pub, spriv, spub)
+        assert ack.status == 0
+        assert (out_dir / "after.bin").read_bytes() == src.read_bytes()
+
+
 def drain_and_ack(listener: socket.socket, digest: bytes) -> None:
     """A receiver that allocates nothing per byte: it answers HELLO with OK,
     reads the FILE payload into one 64 KiB buffer, and ACKs ``digest``."""
@@ -641,6 +722,7 @@ ERR_REASONS = [
         "connection closed",
         id="ConnectionClosedError",
     ),
+    pytest.param(errors.ServerBusyError("x"), "server busy", id="ServerBusyError"),
     pytest.param(errors.TransferError("ack", "x"), "internal error", id="TransferError"),
     pytest.param(errors.BenchVerificationError("x"), "internal error", id="BenchVerificationError"),
     pytest.param(TimeoutError("timed out"), "timeout", id="TimeoutError"),
