@@ -54,9 +54,11 @@ MAX_DIM_LOG2 = 6
 #: Seals default to the 16x16 key (s=4).
 DEFAULT_DIM_LOG2 = 4
 
-#: Bytes of blocks the stream kernel works on at a time.  A chunk's byte
-#: planes, its rows of the output (the second plane buffer) and the scratch
-#: plane, 2.5 chunks in all, stay in the L2 cache while every factor runs.
+#: Bytes of blocks the stream kernel works on at a time.  A chunk's lane
+#: planes (of uint16 words when the last factor is 2 x 2, else of bytes),
+#: its rows of the output (the second plane buffer, which the in-lane
+#: shears also use as scratch) and the scratch plane, 2.5 chunks in all,
+#: stay in the L2 cache while every factor runs.
 CHUNK_BYTES = 1 << 18
 
 
@@ -169,19 +171,57 @@ def unpad(data: bytes, block_len: int) -> bytes:
     return data[:-k]
 
 
-def _mix(f: RingMatrix, x: np.ndarray, y: np.ndarray, tmp: np.ndarray) -> None:
-    """y[:, i] = sum_j f[i][j] * x[:, j] for (outer, m, inner) plane views.
+def _mix(f: RingMatrix, x: np.ndarray, y: np.ndarray, tmp: np.ndarray, scale: int) -> None:
+    """y[:, i] = sum_j scale * f[i][j] * x[:, j] for (outer, m, inner) plane
+    views.
 
     uint8 ufuncs wrap on overflow, which is exactly arithmetic in Z_256.
     """
     planes = [x[:, j] for j in range(f.dim)]
     for i, row in enumerate(f.rows):
         out = y[:, i]
-        np.multiply(planes[0], row[0], out=out)
-        for plane, coef in zip(planes[1:], row[1:]):
+        coefs = [c * scale & 0xFF for c in row]
+        np.multiply(planes[0], coefs[0], out=out)
+        for plane, coef in zip(planes[1:], coefs[1:]):
             if coef:
                 np.multiply(plane, coef, out=tmp)
                 np.add(out, tmp, out=out)
+
+
+def _lane_shears(f: RingMatrix) -> Tuple[int, Tuple[bool, int, int, int]]:
+    """The pivot p of a 2x2 factor [[a, b], [c, d]] and its shears.
+
+    p is b when b is odd (the columns swapped, which makes the u-shear one
+    multiply instead of four ufunc calls), else a.  With the factor
+    [[p, q], [r, t]] in that column order, u = q/p, l = r/p and
+    e = (p t - q r)/p^2.  Returns p and, for :func:`_mix_lanes`, whether
+    the columns are in order and the uint16 multipliers 1 + 256u,
+    1 + 256l and 256e.
+    """
+    (a, b), (c, d) = f.rows
+    swapped = b & 1
+    p, q, r, t = (b, a, d, c) if swapped else (a, b, c, d)
+    inv = BYTE_RING.inv(p)
+    e = (p * t - q * r) * inv * inv
+    return p, (not swapped, (1 + 256 * q * inv) & 0xFFFF, (1 + 256 * r * inv) & 0xFFFF,
+               (256 * e) & 0xFFFF)
+
+
+def _mix_lanes(shears: Tuple[bool, int, int, int], w: np.ndarray, o: np.ndarray) -> None:
+    """Apply the two shears of :func:`_lane_shears` in place inside each
+    uint16 lane of ``w`` (``o`` is scratch of its shape)."""
+    in_order, cu, cl, ce = shears
+    if in_order:
+        np.right_shift(w, 8, out=o)
+        o *= cu
+        w *= 256
+        w += o
+    else:
+        w *= cu
+    np.right_shift(w, 8, out=o)
+    o *= cl
+    w *= ce
+    w += o
 
 
 def _apply(
@@ -195,40 +235,70 @@ def _apply(
     factor by factor and never built.
 
     By (A (x) B) vec(X) = vec(B X A^T), factor t acts on one digit of the
-    byte position: with the positions of a chunk laid out as n contiguous
-    byte planes, viewed as (outer, m_t, inner), it mixes the m_t planes of
-    each group.  The chunk's rows of ``out`` (C-contiguous) serve as the
-    second plane buffer, so the kernel allocates 1.5 chunks.
+    byte position.  Each chunk is transposed into lane planes.  When the
+    last factor is 2 x 2, lane k of a block is its uint16 word
+    w = x0 + 256 x1 at positions 2k and 2k + 1, which differ only in the
+    last digit, so the transposes move half as many elements; otherwise a
+    lane is one byte.
+
+    The last 2 x 2 factor mixes inside the lanes.  Multiplying w by
+    1 + 256k adds k times its low byte to its high byte and never carries
+    into the low byte.  So with the factor (columns swapped when b is odd)
+    written as p * [[1, 0], [l, e]] * [[1, u], [0, 1]], two byte-exact
+    shears apply it over p: w <- (w >> 8)(1 + 256u) + 256 w, or
+    w <- w (1 + 256u) when swapped, leaves the pivot byte z0 high and the
+    other byte v low; w <- (w >> 8)(1 + 256l) + 256e w then puts z0 low and
+    l z0 + e v high.  The scalar p is folded into the first other factor,
+    or into one uint8 multiply when there is none (n = 2, where the one
+    lane plane is the rows themselves and nothing is transposed).
+
+    Every other factor mixes the lane planes, viewed as uint8
+    (outer, m_t, inner), group by group.  The chunk's rows of ``out``
+    (C-contiguous) serve as the second plane buffer and as the shears'
+    scratch, so the kernel allocates 1.5 chunks.
     """
     total, n = out.shape
+    planar, shears, pivot = factors, None, 1
+    if factors[-1].dim == 2:
+        planar = factors[:-1]
+        pivot, shears = _lane_shears(factors[-1])
+    dtype = np.dtype("<u2" if shears else "u1")
+    lanes = n // dtype.itemsize
     step = CHUNK_BYTES // n
     size = min(step, total) * n
-    tmp = np.empty(size // 2, dtype=np.uint8)
+    tmp = np.empty(size // 2 if planar else 0, dtype=np.uint8)
     own = np.empty(size, dtype=np.uint8)
     for lo in range(0, total, step):
-        rows = out[lo : lo + step]
-        body = blocks[lo : lo + step]
-        own_buf, out_buf = own[: rows.size], rows.reshape(-1)
-        # start where an even number of swaps leaves the result in own_buf
-        if len(factors) % 2 == 0:
-            src, dst = own_buf, out_buf
-        else:
-            src, dst = out_buf, own_buf
-        planes = src.reshape(n, -1)
+        rows = out[lo : lo + step].view(dtype)
+        body = blocks[lo : lo + step].view(dtype)
+        own_buf, out_buf = own[: rows.nbytes], rows.reshape(-1).view(np.uint8)
+        # the result ends in own_buf, to be transposed back into the rows,
+        # unless there is one lane plane: then it ends in the rows
+        final, spare = (own_buf, out_buf) if lanes > 1 else (out_buf, own_buf)
+        src, dst = (final, spare) if len(planar) % 2 == 0 else (spare, final)
+        planes = src.view(dtype).reshape(lanes, -1)
         np.copyto(planes[:, : len(body)], body.T)
         if len(body) < len(rows):
-            planes[:, -1] = tail
-        outer = 1
-        for f in factors:
+            planes[:, -1] = tail.view(dtype)
+        if shears:
+            _mix_lanes(shears, src.view(dtype), dst.view(dtype))
+        # the first planar factor also multiplies by the lanes' pivot, or
+        # one uint8 multiply does when there is none (n = 2)
+        outer, scale = 1, pivot
+        for f in planar:
             m = f.dim
             x, y = src.reshape(outer, m, -1), dst.reshape(outer, m, -1)
-            _mix(f, x, y, tmp[: rows.size // m].reshape(outer, -1))
+            _mix(f, x, y, tmp[: rows.nbytes // m].reshape(outer, -1), scale)
             src, dst = dst, src
-            outer *= m
-        # one plane at a time: at n = 16 this is ~1.4x faster than copying
-        # the whole transpose, whose inner loop is only n bytes long
-        for j, plane in enumerate(own_buf.reshape(n, -1)):
-            rows[:, j] = plane
+            outer, scale = outer * m, 1
+        if scale != 1:
+            np.multiply(out_buf, scale, out=out_buf)
+        if lanes > 1:
+            # one plane at a time: at n = 16 (8 lanes) this was 1.3-2x
+            # faster than copying the whole transpose, whose inner loop is
+            # one block long
+            for k, plane in enumerate(own_buf.view(dtype).reshape(lanes, -1)):
+                rows[:, k] = plane
 
 
 def encrypt_stream(key: HillKey, plaintext: bytes, headroom: int = 0) -> bytearray:

@@ -151,7 +151,7 @@ def peak_per_byte(fn, *args):
     return result, peak
 
 
-@pytest.mark.parametrize("s", [1, 4])
+@pytest.mark.parametrize("s", [1, 4, 6])
 class TestPeakMemory:
     """One payload-sized buffer per call, plus the kernel's 1.5 chunks."""
 

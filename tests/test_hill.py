@@ -271,6 +271,24 @@ def assert_matches_dense(key, payload):
     assert hill.decrypt_stream(key, ct) == payload
 
 
+def boundary_lengths(n):
+    """Payload lengths around the kernel's first two chunk boundaries."""
+    chunk = hill.CHUNK_BYTES // n * n
+    return (chunk - n - 1, chunk - n, chunk - 1, chunk, chunk + n, 2 * chunk - n,
+            2 * chunk + n - 1)
+
+
+#: One 2x2 matrix from each of the six classes of GL(2, 2): the kernel
+#: pivots on b when it is odd (always so when a is even), else on a.
+GL22 = ([[1, 0], [0, 1]], [[1, 0], [1, 1]], [[1, 1], [0, 1]], [[1, 1], [1, 0]],
+        [[0, 1], [1, 1]], [[0, 1], [1, 0]])
+
+
+def lift(residues, rng):
+    """A random matrix over Z_256 congruent to ``residues`` mod 2."""
+    return M([[r + 2 * rng.randrange(128) for r in row] for row in residues])
+
+
 class TestKernel:
     """The factor-by-factor stream kernel against the dense matrices."""
 
@@ -285,11 +303,47 @@ class TestKernel:
     def test_chunk_boundaries_match_dense(self, s):
         rng = random.Random(200 + s)
         key = hill.derive_key(rng.randbytes(32), s)
-        n = key.dim
-        chunk = hill.CHUNK_BYTES // n * n
-        for length in (chunk - n - 1, chunk - n, chunk - 1, chunk, chunk + n, 2 * chunk - n,
-                       2 * chunk + n - 1):
+        for length in boundary_lengths(key.dim):
             assert_matches_dense(key, rng.randbytes(length))
+
+    @pytest.mark.parametrize("residues", GL22, ids=str)
+    @pytest.mark.parametrize("planar", [0, 2])
+    def test_last_factor_classes_match_dense(self, residues, planar):
+        # planar = 0: n = 2, the lane shears and one uint8 multiply by the
+        # pivot; planar = 2: n = 8, the pivot folded into the first factor
+        rng = random.Random(f"lanes:{residues}:{planar}")
+        last = lift(residues, rng)
+        assert ring.det(last, BYTE_RING) % 2 == 1
+        factors = [ring.random_invertible(2, BYTE_RING, rng) for _ in range(planar)]
+        key = HillKey(factors=(*factors, last))
+        for length in (*range(0, 3 * key.dim + 2), *boundary_lengths(key.dim)):
+            assert_matches_dense(key, rng.randbytes(length))
+
+    @pytest.mark.parametrize("dims", [(3, 2), (2, 3)])
+    def test_mixed_factor_sizes_match_dense(self, dims):
+        # (3, 2): three uint16 lane planes under a 3x3 factor; (2, 3): the
+        # last factor is not 2x2, so every lane is one byte
+        rng = random.Random(f"mixed:{dims}")
+        key = HillKey(factors=tuple(ring.random_invertible(m, BYTE_RING, rng) for m in dims))
+        for length in (*range(0, 3 * key.dim + 2), *boundary_lengths(key.dim)):
+            assert_matches_dense(key, rng.randbytes(length))
+
+    @pytest.mark.parametrize("s", [1, 4])
+    def test_odd_addresses(self, s):
+        # a FILE payload puts the envelope, and so its ciphertext, at
+        # offset 2 + len(name), which may be odd: the uint16 lane view of
+        # the input is then unaligned; an odd headroom does the same to
+        # the output
+        rng = random.Random(400 + s)
+        key = hill.derive_key(rng.randbytes(32), s)
+        payload = rng.randbytes(hill.CHUNK_BYTES + 3 * key.dim + 1)
+        ct = hill.encrypt_stream(key, payload)
+        odd = memoryview(b"\0" + ct)[1:]
+        assert np.frombuffer(odd, dtype=np.uint8).ctypes.data % 2 == 1
+        assert hill.decrypt_stream(key, odd) == payload
+        buf = hill.encrypt_stream(key, payload, headroom=1)
+        assert np.frombuffer(buf, dtype=np.uint8, offset=1).ctypes.data % 2 == 1
+        assert buf[1:] == ct
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 16])
     def test_ad_hoc_key_matches_dense(self, n):
