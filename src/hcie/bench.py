@@ -53,15 +53,10 @@ def payload_for(size: int) -> bytes:
     return random.Random(PAYLOAD_SEED).randbytes(size)
 
 
-def _rsa_chunk_len(pub: rsa.RsaPublicKey) -> int:
-    # v1.5 layout 00 02 <fill >= 8> 00 <data> needs 11 bytes of overhead
-    return pub.byte_length() - 11
-
-
 def _rsa_encrypt_chunks(
     pub: rsa.RsaPublicKey, payload: bytes, rng: Optional[random.Random]
 ) -> List[bytes]:
-    step = _rsa_chunk_len(pub)
+    step = pub.byte_length() - rsa.V15_OVERHEAD
     return [rsa.encrypt_v15(pub, payload[i : i + step], rng) for i in range(0, len(payload), step)]
 
 

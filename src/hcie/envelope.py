@@ -67,15 +67,11 @@ class Envelope:
             raise EnvelopeFormatError(f"dim_log2 {self.dim_log2} out of range")
         if len(self.sender_fingerprint) != 32:
             raise EnvelopeFormatError("sender fingerprint must be 32 bytes")
+        # padding always adds 1 .. block bytes
         block = 1 << self.dim_log2
-        if len(self.ciphertext) == 0 or len(self.ciphertext) % block != 0:
-            raise EnvelopeFormatError(
-                "ciphertext length must be a positive multiple of the block size"
-            )
-        if not self.plaintext_len < len(self.ciphertext) <= self.plaintext_len + block:
-            raise EnvelopeFormatError(
-                "plaintext length inconsistent with ciphertext length"
-            )
+        padded = (self.plaintext_len // block + 1) * block
+        if self.plaintext_len < 0 or len(self.ciphertext) != padded:
+            raise EnvelopeFormatError("ciphertext length is not the padded plaintext length")
 
 
 def seal(

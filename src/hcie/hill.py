@@ -54,12 +54,16 @@ MAX_DIM_LOG2 = 6
 #: Seals default to the 16x16 key (s=4).
 DEFAULT_DIM_LOG2 = 4
 
-#: Bytes of blocks the stream kernel works on at a time.  A chunk's lane
-#: planes (of uint16 words when the last factor is 2 x 2, else of bytes),
-#: its rows of the output (the second plane buffer, which the in-lane
-#: shears also use as scratch) and the scratch plane, 2.5 chunks in all,
+#: Bytes of blocks the stream kernel works on at a time.  A chunk's uint16
+#: lane planes, its rows of the output (the in-lane shears' scratch) and
+#: the half-chunk scratch of the planar multiply-adds, 2.5 chunks in all,
 #: stay in the L2 cache while every factor runs.
 CHUNK_BYTES = 1 << 18
+
+
+def _product(factors: Sequence[RingMatrix]) -> RingMatrix:
+    """F_1 (x) F_2 (x) ... (x) F_k over Z_256."""
+    return _reduce(lambda x, y: kronecker(x, y, BYTE_RING), factors)
 
 
 @dataclass(frozen=True)
@@ -80,12 +84,12 @@ class HillKey:
 
     @cached_property
     def forward(self) -> RingMatrix:
-        return _reduce(lambda x, y: kronecker(x, y, BYTE_RING), self.factors)
+        return _product(self.factors)
 
     @cached_property
     def inverse(self) -> RingMatrix:
         """K^-1 = F_1^-1 (x) ... (x) F_k^-1."""
-        return _reduce(lambda x, y: kronecker(x, y, BYTE_RING), self.inverse_factors)
+        return _product(self.inverse_factors)
 
     @cached_property
     def inverse_factors(self) -> Tuple[RingMatrix, ...]:
@@ -171,152 +175,127 @@ def unpad(data: bytes, block_len: int) -> bytes:
     return data[:-k]
 
 
-def _mix(f: RingMatrix, x: np.ndarray, y: np.ndarray, tmp: np.ndarray, scale: int) -> None:
-    """y[:, i] = sum_j scale * f[i][j] * x[:, j] for (outer, m, inner) plane
-    views.
+def _shears(f: RingMatrix) -> Tuple[int, int, int, int, int]:
+    """Split a 2x2 factor [[a, b], [c, d]], with its columns swapped when b
+    is odd, as p * [[1, 0], [l, e]] * [[1, u], [0, 1]].
 
-    uint8 ufuncs wrap on overflow, which is exactly arithmetic in Z_256.
-    """
-    planes = [x[:, j] for j in range(f.dim)]
-    for i, row in enumerate(f.rows):
-        out = y[:, i]
-        coefs = [c * scale & 0xFF for c in row]
-        np.multiply(planes[0], coefs[0], out=out)
-        for plane, coef in zip(planes[1:], coefs[1:]):
-            if coef:
-                np.multiply(plane, coef, out=tmp)
-                np.add(out, tmp, out=out)
-
-
-def _lane_shears(f: RingMatrix) -> Tuple[int, Tuple[bool, int, int, int]]:
-    """The pivot p of a 2x2 factor [[a, b], [c, d]] and its shears.
-
-    p is b when b is odd (the columns swapped, which makes the u-shear one
-    multiply instead of four ufunc calls), else a.  With the factor
-    [[p, q], [r, t]] in that column order, u = q/p, l = r/p and
-    e = (p t - q r)/p^2.  Returns p and, for :func:`_mix_lanes`, whether
-    the columns are in order and the uint16 multipliers 1 + 256u,
-    1 + 256l and 256e.
+    Swapping whenever b is odd, not only when a is even, makes the in-lane
+    u-shear one multiply instead of four ufunc calls.  With the factor [[p, q], [r, t]] in that column order, u = q/p,
+    l = r/p and e = (p t - q r)/p^2.  Returns p, whether the columns are
+    swapped (1 or 0), u, l and e.
     """
     (a, b), (c, d) = f.rows
     swapped = b & 1
     p, q, r, t = (b, a, d, c) if swapped else (a, b, c, d)
     inv = BYTE_RING.inv(p)
-    e = (p * t - q * r) * inv * inv
-    return p, (not swapped, (1 + 256 * q * inv) & 0xFFFF, (1 + 256 * r * inv) & 0xFFFF,
-               (256 * e) & 0xFFFF)
+    return p, swapped, q * inv & 0xFF, r * inv & 0xFF, (p * t - q * r) * inv * inv & 0xFF
 
 
-def _mix_lanes(shears: Tuple[bool, int, int, int], w: np.ndarray, o: np.ndarray) -> None:
-    """Apply the two shears of :func:`_lane_shears` in place inside each
-    uint16 lane of ``w`` (``o`` is scratch of its shape)."""
-    in_order, cu, cl, ce = shears
-    if in_order:
-        np.right_shift(w, 8, out=o)
-        o *= cu
-        w *= 256
-        w += o
-    else:
-        w *= cu
-    np.right_shift(w, 8, out=o)
-    o *= cl
-    w *= ce
-    w += o
+def _apply(factors: Sequence[RingMatrix], blocks: np.ndarray, out: np.ndarray) -> None:
+    """out[r] = K * row r of ``blocks`` for K the Kronecker product of
+    ``factors``; rows of ``out`` past the end of ``blocks`` are transformed
+    in place.
 
+    A key with a factor that is not 2 x 2 (an ad-hoc key) takes one uint8
+    matmul by the dense K.  Otherwise K is applied factor by factor and
+    never built: by (A (x) B) vec(X) = vec(B X A^T), factor t acts on one
+    digit of the byte position.  Each chunk is transposed into lane planes
+    of uint16 words: lane k of a block is w = x0 + 256 x1 at positions 2k
+    and 2k + 1, which differ only in the last digit.
 
-def _apply(
-    factors: Sequence[RingMatrix],
-    blocks: np.ndarray,
-    out: np.ndarray,
-    tail: Optional[np.ndarray] = None,
-) -> None:
-    """out[r] = K * row r of ``blocks``, then of the one-block ``tail`` if
-    given, for K the Kronecker product of ``factors``, which is applied
-    factor by factor and never built.
+    Every factor, written as p * [[1, 0], [l, e]] * [[1, u], [0, 1]] by
+    :func:`_shears`, is applied in place over p.  The last one mixes inside
+    the lanes: multiplying w by 1 + 256k adds k times its low byte to its
+    high byte and never carries into the low byte, so
+    w <- (w >> 8)(1 + 256u) + 256 w, or w <- w (1 + 256u) when the columns
+    are swapped, leaves the pivot byte z0 high and the other byte v low, and
+    w <- (w >> 8)(1 + 256l) + 256e w puts z0 low and l z0 + e v high.  Every
+    other factor takes two multiply-adds on the uint8 halves of the planes,
+    viewed as (outer, 2, inner): the pivot half gains u times the other,
+    then the other becomes e times itself plus l times the pivot half.  With
+    swapped columns the two halves end exchanged, which no later factor
+    sees, since each acts on its own digit; so the copy-back reads lane k
+    from plane k XOR ``flip``.  The product of all pivots is multiplied in
+    once, at the first planar factor, or by one uint8 multiply at n = 2,
+    where the one lane plane is the rows themselves and nothing is
+    transposed.
 
-    By (A (x) B) vec(X) = vec(B X A^T), factor t acts on one digit of the
-    byte position.  Each chunk is transposed into lane planes.  When the
-    last factor is 2 x 2, lane k of a block is its uint16 word
-    w = x0 + 256 x1 at positions 2k and 2k + 1, which differ only in the
-    last digit, so the transposes move half as many elements; otherwise a
-    lane is one byte.
-
-    The last 2 x 2 factor mixes inside the lanes.  Multiplying w by
-    1 + 256k adds k times its low byte to its high byte and never carries
-    into the low byte.  So with the factor (columns swapped when b is odd)
-    written as p * [[1, 0], [l, e]] * [[1, u], [0, 1]], two byte-exact
-    shears apply it over p: w <- (w >> 8)(1 + 256u) + 256 w, or
-    w <- w (1 + 256u) when swapped, leaves the pivot byte z0 high and the
-    other byte v low; w <- (w >> 8)(1 + 256l) + 256e w then puts z0 low and
-    l z0 + e v high.  The scalar p is folded into the first other factor,
-    or into one uint8 multiply when there is none (n = 2, where the one
-    lane plane is the rows themselves and nothing is transposed).
-
-    Every other factor mixes the lane planes, viewed as uint8
-    (outer, m_t, inner), group by group.  The chunk's rows of ``out``
-    (C-contiguous) serve as the second plane buffer and as the shears'
-    scratch, so the kernel allocates 1.5 chunks.
+    uint8 ufuncs wrap on overflow, which is exactly arithmetic in Z_256.
+    The chunk's rows of ``out`` serve as the shears' scratch, so the kernel
+    allocates 1.5 chunks: the planes and a half-chunk ``half``.
     """
     total, n = out.shape
-    planar, shears, pivot = factors, None, 1
-    if factors[-1].dim == 2:
-        planar = factors[:-1]
-        pivot, shears = _lane_shears(factors[-1])
-    dtype = np.dtype("<u2" if shears else "u1")
-    lanes = n // dtype.itemsize
+    if any(f.dim != 2 for f in factors):
+        dense = np.array(_product(factors).rows, dtype=np.uint8).T
+        np.matmul(blocks, dense, out=out[: len(blocks)])
+        out[len(blocks) :] @= dense
+        return
+    *planar, (pivot, swapped, u, l, e) = map(_shears, factors)
+    scale = math.prod(p for p, *_ in planar) * pivot & 0xFF
+    lanes = n // 2
     step = CHUNK_BYTES // n
     size = min(step, total) * n
-    tmp = np.empty(size // 2 if planar else 0, dtype=np.uint8)
+    half = np.empty(size // 2 if planar else 0, dtype=np.uint8)
     own = np.empty(size, dtype=np.uint8)
     for lo in range(0, total, step):
-        rows = out[lo : lo + step].view(dtype)
-        body = blocks[lo : lo + step].view(dtype)
-        own_buf, out_buf = own[: rows.nbytes], rows.reshape(-1).view(np.uint8)
-        # the result ends in own_buf, to be transposed back into the rows,
-        # unless there is one lane plane: then it ends in the rows
-        final, spare = (own_buf, out_buf) if lanes > 1 else (out_buf, own_buf)
-        src, dst = (final, spare) if len(planar) % 2 == 0 else (spare, final)
-        planes = src.view(dtype).reshape(lanes, -1)
+        rows = out[lo : lo + step].view("<u2")
+        body = blocks[lo : lo + step].view("<u2")
+        scratch = own[: rows.nbytes].view("<u2")
+        planes, spare = (rows.T, scratch) if lanes == 1 else (scratch.reshape(lanes, -1), rows)
+        spare = spare.reshape(planes.shape)
         np.copyto(planes[:, : len(body)], body.T)
-        if len(body) < len(rows):
-            planes[:, -1] = tail.view(dtype)
-        if shears:
-            _mix_lanes(shears, src.view(dtype), dst.view(dtype))
-        # the first planar factor also multiplies by the lanes' pivot, or
-        # one uint8 multiply does when there is none (n = 2)
-        outer, scale = 1, pivot
-        for f in planar:
-            m = f.dim
-            x, y = src.reshape(outer, m, -1), dst.reshape(outer, m, -1)
-            _mix(f, x, y, tmp[: rows.nbytes // m].reshape(outer, -1), scale)
-            src, dst = dst, src
-            outer, scale = outer * m, 1
-        if scale != 1:
-            np.multiply(out_buf, scale, out=out_buf)
-        if lanes > 1:
-            # one plane at a time: at n = 16 (8 lanes) this was 1.3-2x
-            # faster than copying the whole transpose, whose inner loop is
-            # one block long
-            for k, plane in enumerate(own_buf.view(dtype).reshape(lanes, -1)):
-                rows[:, k] = plane
+        np.copyto(planes[:, len(body) :], rows[len(body) :].T)
+        if not swapped:
+            np.right_shift(planes, 8, out=spare)
+            spare *= 1 + 256 * u
+            planes *= 256
+            planes += spare
+        else:
+            planes *= 1 + 256 * u
+        np.right_shift(planes, 8, out=spare)
+        spare *= 1 + 256 * l
+        planes *= 256 * e
+        planes += spare
+        if not planar:
+            out[lo : lo + step] *= scale
+            continue
+        coef, outer, flip = scale, 1, 0
+        for _, swapped_t, u_t, l_t, e_t in planar:
+            x = planes.view(np.uint8).reshape(outer, 2, -1)
+            pivots, other = x[:, swapped_t], x[:, 1 - swapped_t]
+            t = half[: rows.nbytes // 2].reshape(outer, -1)
+            if coef != 1:
+                pivots *= coef
+            np.multiply(other, coef * u_t & 0xFF, out=t)
+            pivots += t
+            other *= coef * e_t & 0xFF
+            np.multiply(pivots, l_t, out=t)
+            other += t
+            outer, coef = outer * 2, 1
+            flip |= swapped_t * lanes // outer
+        # one plane at a time: at n = 16 (8 lanes) this was 1.3-2x faster
+        # than copying the whole transpose, whose inner loop is one block long
+        for k in range(lanes):
+            rows[:, k] = planes[k ^ flip]
 
 
 def encrypt_stream(key: HillKey, plaintext: bytes, headroom: int = 0) -> bytearray:
     """Pad and encrypt a byte string block by block (ECB over blocks).
 
     Bytes map to ring elements by identity and block position i is vector
-    row i.  The whole blocks are read in place; only the last, padded
-    block is a copy.  The kernel writes straight into the returned buffer,
-    behind its first ``headroom`` bytes, which are left zero for the
-    caller (:func:`~hcie.envelope.seal` packs the envelope header there).
+    row i.  The whole blocks are read in place; the last, padded block is
+    written into the last row of the returned buffer and encrypted there.
+    The kernel writes straight into that buffer, behind its first
+    ``headroom`` bytes, which are left zero for the caller
+    (:func:`~hcie.envelope.seal` packs the envelope header there).
     """
     n = key.dim
     full = len(plaintext) // n
     body = np.frombuffer(plaintext, dtype=np.uint8, count=full * n).reshape(full, n)
-    tail = np.frombuffer(pad(plaintext[full * n :], n), dtype=np.uint8)
     buf = bytearray(headroom + (full + 1) * n)
+    buf[-n:] = pad(plaintext[full * n :], n)
     out = np.frombuffer(buf, dtype=np.uint8, offset=headroom).reshape(-1, n)
-    _apply(key.factors, body, out, tail)
+    _apply(key.factors, body, out)
     return buf
 
 

@@ -67,8 +67,7 @@ class RsaPrivateKey:
     p: int
     q: int
 
-    def byte_length(self) -> int:
-        return (self.n.bit_length() + 7) // 8
+    byte_length = RsaPublicKey.byte_length
 
     def public(self) -> RsaPublicKey:
         return RsaPublicKey(self.n, self.e)
@@ -178,6 +177,11 @@ def _private(priv: RsaPrivateKey, x: int) -> int:
     return m
 
 
+#: Bytes of a v1.5 block that are not data: ``00 02``, a fill of at least
+#: 8 nonzero bytes and the ``00`` separator.
+V15_OVERHEAD = 11
+
+
 def encrypt_v15(
     pub: RsaPublicKey, data: bytes, rng: Optional[random.Random] = None
 ) -> bytes:
@@ -185,10 +189,10 @@ def encrypt_v15(
 
     Builds ``00 02 <random nonzero fill> 00 <data>`` at exactly modulus
     width, then returns (block^e mod n) as fixed-width big-endian bytes.
-    The fill is at least 8 bytes, so ``data`` may be up to k - 11 bytes.
+    ``data`` may be up to k - :data:`V15_OVERHEAD` bytes.
     """
     k = pub.byte_length()
-    if len(data) > k - 11:
+    if len(data) > k - V15_OVERHEAD:
         raise ValueError(f"{len(data)} bytes do not fit a {k}-byte v1.5 block")
     fill = _nonzero_bytes(k - 3 - len(data), rng)
     x = int.from_bytes(b"\x00\x02" + fill + b"\x00" + data, "big")

@@ -289,9 +289,11 @@ def start_recv(tmp_path, keyfiles):
 
 
 def stop_recv(proc):
+    """Stop the server; returns its stdout after the banner and its
+    stderr."""
     if proc.poll() is None:
         proc.kill()
-    proc.communicate(timeout=10)  # reaps it and closes its pipes
+    return proc.communicate(timeout=10)  # reaps it and closes its pipes
 
 
 class TestSendRecv:
@@ -308,7 +310,10 @@ class TestSendRecv:
             assert "server digest" in capsys.readouterr().out
             assert (tmp_path / "inbox" / "wire.bin").read_bytes() == b"over the wire" * 1000
         finally:
-            stop_recv(proc)
+            stdout, _ = stop_recv(proc)
+        # the banner is the only stdout line: a caller that reads it from a
+        # pipe it never drains would stall a server that wrote more
+        assert stdout == ""
 
     def test_sigint_stops_recv_and_closes_its_port(self, tmp_path, keyfiles):
         proc, port = start_recv(tmp_path, keyfiles)

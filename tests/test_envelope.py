@@ -73,6 +73,20 @@ class TestSealOpen:
         with pytest.raises(ValueError):
             envelope.seal(b"x", pub, spriv, wrong_pub)
 
+    def test_surreptitious_forwarding_opens_as_from_sender(
+        self, recipient_pair, sender_pair, other_pair
+    ):
+        # the signature covers the plaintext only, so Bob can re-address
+        # Alice's envelope to Carol and it still opens as Alice's (see the
+        # threat model); binding the recipient needs a new format version
+        _, bob_priv = recipient_pair
+        alice_pub, _ = sender_pair
+        carol_pub, carol_priv = other_pair
+        env = make_envelope(recipient_pair, sender_pair, payload=b"for Bob only")
+        seed = rsa.decrypt_seed(bob_priv, env.encapsulated_seed)
+        forwarded = dataclasses.replace(env, encapsulated_seed=rsa.encrypt_seed(carol_pub, seed))
+        assert envelope.open_envelope(forwarded, carol_priv, alice_pub) == b"for Bob only"
+
 
 class TestOpenFailures:
     def test_wrong_recipient_key(self, recipient_pair, sender_pair, other_pair):
@@ -170,6 +184,9 @@ class TestEnvelopeInvariants:
             dataclasses.replace(env, plaintext_len=len(env.ciphertext))
         with pytest.raises(EnvelopeFormatError):
             dataclasses.replace(env, plaintext_len=len(env.ciphertext) - block - 1)
+        # with no ciphertext, -block .. -1 would satisfy the length equation
+        with pytest.raises(EnvelopeFormatError):
+            dataclasses.replace(env, ciphertext=b"", plaintext_len=-1)
 
 
 class TestWireFormat:

@@ -310,7 +310,8 @@ class TestKernel:
     @pytest.mark.parametrize("planar", [0, 2])
     def test_last_factor_classes_match_dense(self, residues, planar):
         # planar = 0: n = 2, the lane shears and one uint8 multiply by the
-        # pivot; planar = 2: n = 8, the pivot folded into the first factor
+        # pivot; planar = 2: n = 8, the product of the pivots multiplied in
+        # at the first planar factor
         rng = random.Random(f"lanes:{residues}:{planar}")
         last = lift(residues, rng)
         assert ring.det(last, BYTE_RING) % 2 == 1
@@ -319,10 +320,23 @@ class TestKernel:
         for length in (*range(0, 3 * key.dim + 2), *boundary_lengths(key.dim)):
             assert_matches_dense(key, rng.randbytes(length))
 
+    @pytest.mark.parametrize("residues", GL22, ids=str)
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_planar_factor_classes_match_dense(self, residues, position):
+        # n = 8: the class goes in as the first or the second of the two
+        # factors applied in place on the byte halves of the lane planes;
+        # with b odd its halves end exchanged, which the copy-back undoes
+        rng = random.Random(f"planar:{residues}:{position}")
+        factors = [ring.random_invertible(2, BYTE_RING, rng) for _ in range(3)]
+        factors[position] = lift(residues, rng)
+        key = HillKey(factors=tuple(factors))
+        for length in (*range(0, 3 * key.dim + 2), *boundary_lengths(key.dim)):
+            assert_matches_dense(key, rng.randbytes(length))
+
     @pytest.mark.parametrize("dims", [(3, 2), (2, 3)])
     def test_mixed_factor_sizes_match_dense(self, dims):
-        # (3, 2): three uint16 lane planes under a 3x3 factor; (2, 3): the
-        # last factor is not 2x2, so every lane is one byte
+        # a factor that is not 2x2, first or last, sends the key through
+        # the one dense uint8 product
         rng = random.Random(f"mixed:{dims}")
         key = HillKey(factors=tuple(ring.random_invertible(m, BYTE_RING, rng) for m in dims))
         for length in (*range(0, 3 * key.dim + 2), *boundary_lengths(key.dim)):

@@ -431,6 +431,14 @@ class TestLoopback:
         assert reply.kind == FrameKind.ERR
         assert reply.payload == b"version"
 
+    def test_second_hello_instead_of_file_rejected(self, server):
+        srv, out_dir = server
+        hello = frame_bytes(FrameKind.HELLO, transfer.HELLO_PAYLOAD)
+        ok, err = raw_session(srv.port, [hello, hello])
+        assert ok.kind == FrameKind.OK
+        assert err == Frame(FrameKind.ERR, b"expected FILE, got kind 1")
+        assert list(out_dir.iterdir()) == []
+
     def test_non_hello_opening_rejected(self, server):
         srv, _ = server
         (reply,) = raw_session(srv.port, [frame_bytes(FrameKind.FILE, b"data")])
@@ -633,15 +641,15 @@ class TestConnectionCap:
         assert (out_dir / "after.bin").read_bytes() == src.read_bytes()
 
 
-def drain_and_ack(listener: socket.socket, digest: bytes) -> None:
+def drain_and_reply(listener: socket.socket, last_reply: bytes) -> None:
     """A receiver that allocates nothing per byte: it answers HELLO with OK,
-    reads the FILE payload into one 64 KiB buffer, and ACKs ``digest``."""
+    reads the FILE payload into one 64 KiB buffer, and answers it with the
+    frame ``last_reply``."""
     conn, _ = listener.accept()
     with conn:
         buf = bytearray(64 * 1024)
         view = memoryview(buf)
-        replies = [frame_bytes(FrameKind.OK, b""), frame_bytes(FrameKind.ACK, b"\x00" + digest)]
-        for reply in replies:
+        for reply in [frame_bytes(FrameKind.OK, b""), last_reply]:
             conn.recv_into(view[:5], 5, socket.MSG_WAITALL)
             (remaining,) = struct.unpack(">I", view[1:5])
             while remaining:
@@ -661,7 +669,10 @@ def send_peak_per_byte(recipient_pair, sender_pair, tmp_path) -> float:
     src.write_bytes(data)
     digest = rsa.sha256(data)
     with socket.create_server(("127.0.0.1", 0)) as listener:
-        receiver = threading.Thread(target=drain_and_ack, args=(listener, digest), daemon=True)
+        ack_frame = frame_bytes(FrameKind.ACK, AckPayload(0, digest).encode())
+        receiver = threading.Thread(
+            target=drain_and_reply, args=(listener, ack_frame), daemon=True
+        )
         receiver.start()
         tracemalloc.start()
         try:
@@ -676,6 +687,31 @@ def send_peak_per_byte(recipient_pair, sender_pair, tmp_path) -> float:
     assert not receiver.is_alive()
     assert ack == AckPayload(0, digest)
     return peak / len(data)
+
+
+@pytest.mark.parametrize(
+    "reply, message",
+    [
+        (frame_bytes(FrameKind.ACK, AckPayload(1, bytes(32)).encode()),
+         "^ack: server reported status 1$"),
+        (frame_bytes(FrameKind.ACK, AckPayload(0, bytes(32)).encode()),
+         "^digest: server digest does not match local plaintext$"),
+        (frame_bytes(FrameKind.OK, b""), "^transfer: expected ACK, got OK$"),
+    ],
+    ids=["failure-status", "wrong-digest", "wrong-kind"],
+)
+def test_send_file_checks_the_reply(recipient_pair, sender_pair, tmp_path, reply, message):
+    pub, _ = recipient_pair
+    spub, spriv = sender_pair
+    src = tmp_path / "a.bin"
+    src.write_bytes(b"checked reply")
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        receiver = threading.Thread(target=drain_and_reply, args=(listener, reply), daemon=True)
+        receiver.start()
+        with pytest.raises(TransferError, match=message):
+            transfer.send_file("127.0.0.1", listener.getsockname()[1], src, pub, spriv, spub)
+        receiver.join(timeout=10)
+    assert not receiver.is_alive()
 
 
 def test_send_file_holds_three_payload_sized_buffers(recipient_pair, sender_pair, tmp_path):
@@ -783,6 +819,14 @@ class TestTrustedKeys:
             table = transfer.load_trusted_keys(tmp_path)
         assert list(table.values()) == [pub]
         assert len(caplog.records) == 2
+
+    def test_skips_subdirectories(self, tmp_path, recipient_pair, sender_pair):
+        pub, _ = recipient_pair
+        spub, _ = sender_pair
+        (tmp_path / "a.pub").write_bytes(rsa.serialize_key(pub))
+        (tmp_path / "nested").mkdir()
+        (tmp_path / "nested" / "b.pub").write_bytes(rsa.serialize_key(spub))
+        assert transfer.load_trusted_keys(tmp_path) == {rsa.fingerprint(pub): pub}
 
     def test_skips_keys_with_a_degenerate_exponent(self, tmp_path, recipient_pair, caplog):
         # under e = 1 every digest is its own signature
