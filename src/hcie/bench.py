@@ -112,33 +112,30 @@ def run_bench(sizes: Sequence[int], rng: Optional[random.Random] = None) -> List
     for size in sizes:
         payload = payload_for(size)
 
-        hill_med = _timed_runs(
-            lambda: hill.encrypt_stream(hill_key, payload),
-            lambda ct: hill.decrypt_stream(hill_key, ct),
-            payload,
-            REPETITIONS,
-        )
         # hybrid is timed right after hill_only, not after the minutes-long
         # rsa_only leg, so that machine-speed drift does not enter their ratio
-        hybrid_med = _timed_runs(
-            lambda: envelope_mod.seal(payload, recipient_pub, sender_priv, sender_pub, rng),
-            lambda env: envelope_mod.open_envelope(env, recipient_priv, sender_pub),
-            payload,
-            REPETITIONS,
-        )
-        rsa_med = _timed_runs(
-            lambda: _rsa_encrypt_chunks(
-                recipient_pub, payload, random.Random(f"rsa_only fill {size}")
+        legs = {
+            "hill_only": (
+                lambda: hill.encrypt_stream(hill_key, payload),
+                lambda ct: hill.decrypt_stream(hill_key, ct),
             ),
-            lambda chunks: _rsa_decrypt_chunks(recipient_priv, chunks),
-            payload,
-            REPETITIONS,
-        )
-        records += [
-            BenchRecord("hill_only", size, hill_med),
-            BenchRecord("rsa_only", size, rsa_med),
-            BenchRecord("hybrid", size, hybrid_med),
-        ]
+            "hybrid": (
+                lambda: envelope_mod.seal(payload, recipient_pub, sender_priv, sender_pub, rng),
+                lambda env: envelope_mod.open_envelope(env, recipient_priv, sender_pub),
+            ),
+            "rsa_only": (
+                lambda: _rsa_encrypt_chunks(
+                    recipient_pub, payload, random.Random(f"rsa_only fill {size}")
+                ),
+                lambda chunks: _rsa_decrypt_chunks(recipient_priv, chunks),
+            ),
+        }
+        medians = {
+            scheme: _timed_runs(encrypt, verify, payload, REPETITIONS)
+            for scheme, (encrypt, verify) in legs.items()
+        }
+        for scheme in ("hill_only", "rsa_only", "hybrid"):
+            records.append(BenchRecord(scheme, size, medians[scheme]))
     return records
 
 

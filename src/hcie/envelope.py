@@ -152,44 +152,35 @@ def serialize(env: Envelope) -> Union[bytes, bytearray]:
     return b"".join([_header(env), env.ciphertext])
 
 
-def _take(data: memoryview, offset: int, count: int, what: str) -> bytes:
-    if offset + count > len(data):
-        raise EnvelopeFormatError(f"truncated {what}")
-    return bytes(data[offset : offset + count])
-
-
 def parse(data: bytes) -> Envelope:
     """Parse any bytes-like serialized envelope, with a distinct error per
     defect.  The ciphertext is a read-only view into ``data``, not a copy."""
     data = memoryview(data).toreadonly().cast("B")
-    head = _take(data, 0, _HEADER.size, "header")
-    magic, version, dim_log2, reserved, fingerprint = _HEADER.unpack(head)
+    offset = 0
+
+    def take(count: int, what: str) -> memoryview:
+        # every field is read in order through this one bounds check
+        nonlocal offset
+        if offset + count > len(data):
+            raise EnvelopeFormatError(f"truncated {what}")
+        offset += count
+        return data[offset - count : offset]
+
+    magic, version, dim_log2, reserved, fingerprint = _HEADER.unpack(take(_HEADER.size, "header"))
     if magic != MAGIC:
         raise EnvelopeFormatError(f"bad magic {magic!r}")
     if version != VERSION:
         raise EnvelopeFormatError(f"unsupported version {version}")
     if reserved != 0:
         raise EnvelopeFormatError("reserved field must be zero")
-    offset = _HEADER.size
-
-    (seed_ct_len,) = struct.unpack(">I", _take(data, offset, 4, "seed length field"))
-    offset += 4
-    encapsulated = _take(data, offset, seed_ct_len, "encapsulated seed")
-    offset += seed_ct_len
-
-    (sig_len,) = struct.unpack(">I", _take(data, offset, 4, "signature length field"))
-    offset += 4
-    signature = _take(data, offset, sig_len, "signature")
-    offset += sig_len
-
-    plaintext_len, ct_len = struct.unpack(">QQ", _take(data, offset, 16, "length fields"))
-    offset += 16
-    remaining = len(data) - offset
-    if remaining < ct_len:
-        raise EnvelopeFormatError("truncated ciphertext")
-    if remaining > ct_len:
+    (seed_ct_len,) = struct.unpack(">I", take(4, "seed length field"))
+    encapsulated = bytes(take(seed_ct_len, "encapsulated seed"))
+    (sig_len,) = struct.unpack(">I", take(4, "signature length field"))
+    signature = bytes(take(sig_len, "signature"))
+    plaintext_len, ct_len = struct.unpack(">QQ", take(16, "length fields"))
+    ciphertext = take(ct_len, "ciphertext")
+    if offset < len(data):
         raise EnvelopeFormatError("trailing data after ciphertext")
-    ciphertext = data[offset:]
 
     return Envelope(
         dim_log2=dim_log2,

@@ -158,7 +158,7 @@ def pad(data: bytes, block_len: int) -> bytes:
     if not 1 <= block_len <= 255:
         raise ValueError(f"block length must be in [1, 255], got {block_len}")
     k = block_len - (len(data) % block_len)
-    return data + bytes([k]) * k
+    return b"".join((data, bytes([k]) * k))
 
 
 def unpad(data: bytes, block_len: int) -> bytes:
@@ -180,9 +180,10 @@ def _shears(f: RingMatrix) -> Tuple[int, int, int, int, int]:
     is odd, as p * [[1, 0], [l, e]] * [[1, u], [0, 1]].
 
     Swapping whenever b is odd, not only when a is even, makes the in-lane
-    u-shear one multiply instead of four ufunc calls.  With the factor [[p, q], [r, t]] in that column order, u = q/p,
-    l = r/p and e = (p t - q r)/p^2.  Returns p, whether the columns are
-    swapped (1 or 0), u, l and e.
+    u-shear one multiply instead of four ufunc calls.  With the factor
+    [[p, q], [r, t]] in that column order, u = q/p, l = r/p and
+    e = (p t - q r)/p^2.  Returns p, whether the columns are swapped (1 or
+    0), u, l and e.
     """
     (a, b), (c, d) = f.rows
     swapped = b & 1

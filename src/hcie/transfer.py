@@ -11,6 +11,7 @@ to its name, with numeric suffixes instead of overwrites on name collisions.
 from __future__ import annotations
 
 import errno
+import itertools
 import logging
 import os
 import random
@@ -206,17 +207,6 @@ def load_trusted_keys(trust_dir) -> Dict[bytes, rsa.RsaPublicKey]:
     return table
 
 
-def _claim(tmp: str, path: Path) -> Path:
-    try:
-        os.link(tmp, path)
-    except OSError as exc:
-        # a valid name can outgrow the filesystem's limit once suffixed
-        if exc.errno == errno.ENAMETOOLONG:
-            raise ProtocolError("filename too long") from None
-        raise
-    return path
-
-
 def _claim_output_path(out_dir: Path, name: str, tmp: str) -> Path:
     """Hard-link ``tmp`` to a collision-free name in ``out_dir``: ``name``,
     else ``name.i`` for the smallest free i >= 1, so gaps are filled first.
@@ -224,21 +214,23 @@ def _claim_output_path(out_dir: Path, name: str, tmp: str) -> Path:
     The directory is listed once, on the first collision; a suffix another
     writer links between that listing and our ``link`` is skipped.
     """
-    try:
-        return _claim(tmp, out_dir / name)
-    except FileExistsError:
-        pass
-    prefix = f"{name}."
-    with os.scandir(out_dir) as entries:
-        taken = {e.name[len(prefix) :] for e in entries if e.name.startswith(prefix)}
-    i = 1
-    while True:
-        if str(i) not in taken:
-            try:
-                return _claim(tmp, out_dir / f"{name}.{i}")
-            except FileExistsError:
-                pass
-        i += 1
+    prefix, taken = f"{name}.", set()
+    for i in itertools.count():
+        if str(i) in taken:
+            continue
+        path = out_dir / (f"{prefix}{i}" if i else name)
+        try:
+            os.link(tmp, path)
+            return path
+        except FileExistsError:
+            if not i:
+                with os.scandir(out_dir) as entries:
+                    taken = {e.name[len(prefix) :] for e in entries if e.name.startswith(prefix)}
+        except OSError as exc:
+            # a valid name can outgrow the filesystem's limit once suffixed
+            if exc.errno == errno.ENAMETOOLONG:
+                raise ProtocolError("filename too long") from None
+            raise
 
 
 def _write_atomic(out_dir: Path, name: str, data: bytes) -> Path:

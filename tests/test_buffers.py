@@ -90,6 +90,21 @@ class TestViews:
         assert envelope.open_envelope(env, priv, spub) == payload
         assert envelope.serialize(env) == blob
 
+    @pytest.mark.parametrize("s", [1, 4])
+    def test_encrypt_stream_accepts_any_bytes_like(self, s):
+        key = hill.derive_key(bytes(32), s)
+        payload = random.Random(70 + s).randbytes(5000)
+        expected = hill.encrypt_stream(key, payload)
+        assert hill.encrypt_stream(key, bytearray(payload)) == expected
+        assert hill.encrypt_stream(key, as_memoryview(payload)) == expected
+
+    def test_seal_accepts_memoryview(self, recipient_pair, sender_pair):
+        _, priv = recipient_pair
+        spub, _ = sender_pair
+        payload = random.Random(71).randbytes(4097)
+        env = sealed(recipient_pair, sender_pair, as_memoryview(payload), 4)
+        assert envelope.open_envelope(env, priv, spub) == payload
+
 
 @pytest.mark.parametrize("s", [1, 4, 6])
 class TestSealedBuffer:

@@ -22,7 +22,12 @@ def test_demos_are_numbered_01_to_07():
     assert [demo.name[:2] for demo in DEMOS] == [f"{i:02d}" for i in range(1, 8)]
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda demo: demo.stem)
+@pytest.mark.parametrize(
+    "demo",
+    # the benchmark demo alone takes ~12 s, a fifth of the quick loop
+    [pytest.param(d, marks=pytest.mark.slow) if d.stem == "07_benchmark" else d for d in DEMOS],
+    ids=lambda demo: demo.stem,
+)
 def test_demo_exits_cleanly(demo, tmp_path):
     # each demo gets its own empty TMPDIR and must leave it empty
     tmpdir = tmp_path / "tmp"

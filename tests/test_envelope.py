@@ -228,9 +228,22 @@ class TestWireFormat:
             envelope.parse(blob[:-1])
 
     def test_every_truncation_rejected(self, recipient_pair, sender_pair):
-        blob = envelope.serialize(make_envelope(recipient_pair, sender_pair))
+        env = make_envelope(recipient_pair, sender_pair)
+        blob = envelope.serialize(env)
+        # a cut is reported as the field it falls in, the first one left short
+        fields = [
+            ("header", 40),
+            ("seed length field", 4),
+            ("encapsulated seed", len(env.encapsulated_seed)),
+            ("signature length field", 4),
+            ("signature", len(env.signature)),
+            ("length fields", 16),
+            ("ciphertext", len(env.ciphertext)),
+        ]
+        region = [what for what, size in fields for _ in range(size)]
+        assert len(region) == len(blob)
         for cut in range(len(blob)):
-            with pytest.raises(EnvelopeFormatError):
+            with pytest.raises(EnvelopeFormatError, match=f"^truncated {region[cut]}$"):
                 envelope.parse(blob[:cut])
 
     def test_trailing_data_rejected(self, recipient_pair, sender_pair):

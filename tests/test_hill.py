@@ -158,6 +158,9 @@ class TestPadding:
         out = hill.pad(bytes(16), 16)
         assert len(out) == 32 and out[-16:] == bytes([0x10]) * 16
 
+    def test_pad_accepts_memoryview(self):
+        assert hill.pad(memoryview(b"ab"), 4) == b"ab\x02\x02"
+
     def test_round_trip_all_lengths(self):
         rng = random.Random(14)
         for length in range(0, 1001):

@@ -130,6 +130,11 @@ class TestDet:
             rhs = ring.det(a, BYTE_RING) * ring.det(b, BYTE_RING) % 256
             assert lhs == rhs
 
+    def test_zero_pivot_column_gives_zero(self):
+        # no row below has a nonzero pivot either, so there is nothing to swap
+        assert ring.det(M([[0, 1], [0, 1]]), BYTE_RING) == 0
+        assert ring.det(M([[0, 1, 2], [0, 3, 4], [0, 5, 7]]), BYTE_RING) == 0
+
     def test_zero_pivot_needs_row_swap(self):
         # leading zero forces the Bareiss row swap; det = -1 * 1 * 1 mod 256
         a = M([[0, 1], [1, 0]])
@@ -286,6 +291,12 @@ class TestRandomMatrices:
         for _ in range(50):
             a = ring.random_invertible(4, BYTE_RING, rng)
             assert ring.is_invertible(a)
+
+    def test_random_invertible_gives_up_after_max_draws(self, monkeypatch):
+        singular = M([[0, 0], [0, 0]])
+        monkeypatch.setattr(ring, "random_matrix", lambda dim, r, rng: singular)
+        with pytest.raises(RuntimeError, match="no invertible matrix"):
+            ring.random_invertible(2, BYTE_RING, random.Random(0))
 
     def test_deterministic_under_seed(self):
         a = ring.random_matrix(4, BYTE_RING, random.Random(99))

@@ -424,6 +424,10 @@ class TestKeyFiles:
         _, priv = recipient_pair
         assert rsa.parse_key(rsa.serialize_key(priv)) == priv
 
+    def test_serialize_rejects_a_non_key(self):
+        with pytest.raises(TypeError, match="not an RSA key: str"):
+            rsa.serialize_key("x")
+
     def test_file_shape(self, recipient_pair):
         pub, priv = recipient_pair
         pub_lines = rsa.serialize_key(pub).decode().splitlines()

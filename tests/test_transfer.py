@@ -128,6 +128,26 @@ def test_failed_publish_leaves_nothing(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []  # neither the name nor a temp file
 
 
+class TestConnectionTeardown:
+    def test_err_to_a_gone_peer_is_dropped(self):
+        class BrokenPipe(io.BytesIO):
+            def write(self, data):
+                raise BrokenPipeError(errno.EPIPE, "peer gone")
+
+        transfer._send_err(BrokenPipe(), ("127.0.0.1", 1), ProtocolError("bad frame"))
+
+    def test_socket_closed_when_the_stream_fails_to_close(self):
+        class FailingClose(io.BytesIO):
+            def close(self):
+                super().close()
+                raise OSError(errno.EPIPE, "unflushed bytes")
+
+        conn, peer = socket.socketpair()
+        with peer:
+            transfer._close(FailingClose(), conn)
+            assert conn.fileno() == -1
+
+
 @contextlib.contextmanager
 def running_server(recipient_pair, sender_pair, out_dir):
     """A TransferServer on an ephemeral port, serving on its own thread."""
