@@ -55,9 +55,9 @@ MAX_DIM_LOG2 = 6
 DEFAULT_DIM_LOG2 = 4
 
 #: Bytes of blocks the stream kernel works on at a time.  A chunk's uint16
-#: lane planes, its rows of the output (the in-lane shears' scratch) and
-#: the half-chunk scratch of the planar multiply-adds, 2.5 chunks in all,
-#: stay in the L2 cache while every factor runs.
+#: lane planes and its rows of the output, which are the scratch of every
+#: shear and multiply-add, 2 chunks in all, stay in the L2 cache while
+#: every factor runs.
 CHUNK_BYTES = 1 << 18
 
 
@@ -222,8 +222,9 @@ def _apply(factors: Sequence[RingMatrix], blocks: np.ndarray, out: np.ndarray) -
     transposed.
 
     uint8 ufuncs wrap on overflow, which is exactly arithmetic in Z_256.
-    The chunk's rows of ``out`` serve as the shears' scratch, so the kernel
-    allocates 1.5 chunks: the planes and a half-chunk ``half``.
+    The chunk's rows of ``out`` are the scratch of the in-lane shears and,
+    in their first half, of the multiply-adds, until the copy-back
+    overwrites them, so the kernel allocates one chunk: the planes.
     """
     total, n = out.shape
     if any(f.dim != 2 for f in factors):
@@ -235,9 +236,7 @@ def _apply(factors: Sequence[RingMatrix], blocks: np.ndarray, out: np.ndarray) -
     scale = math.prod(p for p, *_ in planar) * pivot & 0xFF
     lanes = n // 2
     step = CHUNK_BYTES // n
-    size = min(step, total) * n
-    half = np.empty(size // 2 if planar else 0, dtype=np.uint8)
-    own = np.empty(size, dtype=np.uint8)
+    own = np.empty(min(step, total) * n, dtype=np.uint8)
     for lo in range(0, total, step):
         rows = out[lo : lo + step].view("<u2")
         body = blocks[lo : lo + step].view("<u2")
@@ -261,10 +260,11 @@ def _apply(factors: Sequence[RingMatrix], blocks: np.ndarray, out: np.ndarray) -
             out[lo : lo + step] *= scale
             continue
         coef, outer, flip = scale, 1, 0
+        front = out[lo : lo + step].reshape(-1)[: rows.nbytes // 2]
         for _, swapped_t, u_t, l_t, e_t in planar:
             x = planes.view(np.uint8).reshape(outer, 2, -1)
             pivots, other = x[:, swapped_t], x[:, 1 - swapped_t]
-            t = half[: rows.nbytes // 2].reshape(outer, -1)
+            t = front.reshape(outer, -1)
             if coef != 1:
                 pivots *= coef
             np.multiply(other, coef * u_t & 0xFF, out=t)

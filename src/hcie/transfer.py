@@ -315,7 +315,7 @@ class TransferServer(socketserver.ThreadingTCPServer):
             return
         try:
             super().process_request(conn, addr)
-        except BaseException:  # no thread started, so none will release it
+        except RuntimeError:  # no thread started, so none will release it
             self._slots.release()
             raise
 

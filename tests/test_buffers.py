@@ -15,6 +15,7 @@ from hcie import envelope, hill, rsa, transfer
 
 from test_hill import dense
 
+KIB = 1 << 10
 MIB = 1 << 20
 
 
@@ -168,7 +169,7 @@ def peak_per_byte(fn, *args):
 
 @pytest.mark.parametrize("s", [1, 4, 6])
 class TestPeakMemory:
-    """One payload-sized buffer per call, plus the kernel's 1.5 chunks."""
+    """One payload-sized buffer per call, plus the kernel's one chunk."""
 
     def test_open_of_parsed_bytes(self, s, recipient_pair, sender_pair):
         _, priv = recipient_pair
@@ -179,7 +180,7 @@ class TestPeakMemory:
             lambda: envelope.open_envelope(envelope.parse(data), priv, spub)
         )
         assert plaintext == payload
-        assert peak <= 1.3 * len(payload)
+        assert peak <= len(payload) + hill.CHUNK_BYTES + 32 * KIB
 
     def test_seal_and_serialize(self, s, recipient_pair, sender_pair):
         _, priv = recipient_pair
@@ -189,11 +190,19 @@ class TestPeakMemory:
             lambda: envelope.serialize(sealed(recipient_pair, sender_pair, payload, s))
         )
         assert envelope.open_envelope(envelope.parse(data), priv, spub) == payload
-        assert peak <= 1.3 * len(payload)
+        assert peak <= len(payload) + hill.CHUNK_BYTES + 32 * KIB
 
     def test_encrypt_stream(self, s):
         payload = random.Random(700 + s).randbytes(2 * MIB)
         key = hill.derive_key(bytes(32), s)
         ct, peak = peak_per_byte(hill.encrypt_stream, key, payload)
         assert hill.decrypt_stream(key, ct) == payload
-        assert peak <= 1.3 * len(payload)
+        assert peak <= len(payload) + hill.CHUNK_BYTES + 32 * KIB
+
+    def test_decrypt_stream(self, s):
+        payload = random.Random(750 + s).randbytes(2 * MIB)
+        key = hill.derive_key(bytes(32), s)
+        ct = hill.encrypt_stream(key, payload)
+        plaintext, peak = peak_per_byte(hill.decrypt_stream, key, ct)
+        assert plaintext == payload
+        assert peak <= len(payload) + hill.CHUNK_BYTES + 32 * KIB

@@ -660,6 +660,44 @@ class TestConnectionCap:
         assert ack.status == 0
         assert (out_dir / "after.bin").read_bytes() == src.read_bytes()
 
+    def test_interrupt_in_thread_start_keeps_the_slot_count(
+        self, recipient_pair, sender_pair, tmp_path, monkeypatch
+    ):
+        # a SIGINT can land in Thread.start() after the session has already
+        # ended and released its own slot; the interrupt must reach the
+        # serving loop, and the slot must not be released a second time
+        monkeypatch.setattr(transfer, "MAX_CONNECTIONS", 1)
+        pub, priv = recipient_pair
+        spub, spriv = sender_pair
+        src = tmp_path / "later.bin"
+        src.write_bytes(b"served after the interrupt")
+        out_dir = tmp_path / "incoming"
+        out_dir.mkdir()
+        table = {rsa.fingerprint(spub): spub}
+        start = threading.Thread.start
+
+        def start_then_interrupt(thread):
+            start(thread)
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+            raise KeyboardInterrupt
+
+        with transfer.TransferServer(0, priv, table.get, out_dir, host="127.0.0.1") as srv:
+            socket.create_connection(("127.0.0.1", srv.port), timeout=5.0).close()
+            with monkeypatch.context() as m:
+                m.setattr(threading.Thread, "start", start_then_interrupt)
+                with pytest.raises(KeyboardInterrupt):
+                    srv._handle_request_noblock()
+            loop = threading.Thread(target=srv.serve_forever, daemon=True)
+            loop.start()
+            try:
+                ack = transfer.send_file("127.0.0.1", srv.port, src, pub, spriv, spub)
+            finally:
+                srv.shutdown()
+                loop.join(timeout=5)
+        assert ack.status == 0
+        assert (out_dir / "later.bin").read_bytes() == src.read_bytes()
+
 
 def drain_and_reply(listener: socket.socket, last_reply: bytes) -> None:
     """A receiver that allocates nothing per byte: it answers HELLO with OK,
