@@ -216,10 +216,11 @@ def _apply(factors: Sequence[RingMatrix], blocks: np.ndarray, out: np.ndarray) -
     then the other becomes e times itself plus l times the pivot half.  With
     swapped columns the two halves end exchanged, which no later factor
     sees, since each acts on its own digit; so the copy-back reads lane k
-    from plane k XOR ``flip``.  The product of all pivots is multiplied in
-    once, at the first planar factor, or by one uint8 multiply at n = 2,
-    where the one lane plane is the rows themselves and nothing is
-    transposed.
+    from plane k XOR ``flip``.  The product s of all pivots is a scalar, and
+    K (s x) = s (K x), so each chunk is multiplied by s as it is copied into
+    its rows of ``out``, before any factor runs.  At n = 2 the one lane
+    plane is the rows themselves, so nothing is transposed and the copies
+    into and out of the planes are self-assignments.
 
     uint8 ufuncs wrap on overflow, which is exactly arithmetic in Z_256.
     The chunk's rows of ``out`` are the scratch of the in-lane shears and,
@@ -238,13 +239,16 @@ def _apply(factors: Sequence[RingMatrix], blocks: np.ndarray, out: np.ndarray) -
     step = CHUNK_BYTES // n
     own = np.empty(min(step, total) * n, dtype=np.uint8)
     for lo in range(0, total, step):
-        rows = out[lo : lo + step].view("<u2")
-        body = blocks[lo : lo + step].view("<u2")
+        rows, body = out[lo : lo + step], blocks[lo : lo + step]
+        np.multiply(body, scale, out=rows[: len(body)])
+        rows[len(body) :] *= scale
+        front = rows.reshape(-1)[: rows.nbytes // 2]
+        # rebound, so the uint8 view is freed before the planes are filled
+        rows = rows.view("<u2")
         scratch = own[: rows.nbytes].view("<u2")
         planes, spare = (rows.T, scratch) if lanes == 1 else (scratch.reshape(lanes, -1), rows)
         spare = spare.reshape(planes.shape)
-        np.copyto(planes[:, : len(body)], body.T)
-        np.copyto(planes[:, len(body) :], rows[len(body) :].T)
+        np.copyto(planes, rows.T)
         if not swapped:
             np.right_shift(planes, 8, out=spare)
             spare *= 1 + 256 * u
@@ -256,23 +260,17 @@ def _apply(factors: Sequence[RingMatrix], blocks: np.ndarray, out: np.ndarray) -
         spare *= 1 + 256 * l
         planes *= 256 * e
         planes += spare
-        if not planar:
-            out[lo : lo + step] *= scale
-            continue
-        coef, outer, flip = scale, 1, 0
-        front = out[lo : lo + step].reshape(-1)[: rows.nbytes // 2]
+        outer, flip = 1, 0
         for _, swapped_t, u_t, l_t, e_t in planar:
             x = planes.view(np.uint8).reshape(outer, 2, -1)
             pivots, other = x[:, swapped_t], x[:, 1 - swapped_t]
             t = front.reshape(outer, -1)
-            if coef != 1:
-                pivots *= coef
-            np.multiply(other, coef * u_t & 0xFF, out=t)
+            np.multiply(other, u_t, out=t)
             pivots += t
-            other *= coef * e_t & 0xFF
+            other *= e_t
             np.multiply(pivots, l_t, out=t)
             other += t
-            outer, coef = outer * 2, 1
+            outer *= 2
             flip |= swapped_t * lanes // outer
         # one plane at a time: at n = 16 (8 lanes) this was 1.3-2x faster
         # than copying the whole transpose, whose inner loop is one block long

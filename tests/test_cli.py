@@ -95,6 +95,29 @@ class TestSealOpen:
         ]) == 0
         assert out_path.read_bytes() == b"between alice and bob"
 
+    def test_dim_log2_flag(self, tmp_path, keyfiles, capsys):
+        src = tmp_path / "m.txt"
+        src.write_bytes(b"a 4x4 key")
+        env_path = tmp_path / "m.hcie"
+        out_path = tmp_path / "m.out"
+        seal = [
+            "seal", "--in", str(src),
+            "--to", str(keyfiles["bob.pub"]), "--from", str(keyfiles["alice.key"]),
+        ]
+        assert cli.main(seal + ["--out", str(env_path), "--dim-log2", "2"]) == 0
+        assert envelope.parse(env_path.read_bytes()).dim_log2 == 2
+        assert cli.main([
+            "open", "--in", str(env_path), "--out", str(out_path),
+            "--to", str(keyfiles["bob.key"]), "--from", str(keyfiles["alice.pub"]),
+        ]) == 0
+        assert out_path.read_bytes() == b"a 4x4 key"
+        capsys.readouterr()
+
+        refused = tmp_path / "refused.hcie"
+        assert cli.main(seal + ["--out", str(refused), "--dim-log2", "7"]) == 1
+        assert "dim_log2 must be in [1, 6], got 7" in capsys.readouterr().err
+        assert not refused.exists()
+
     def test_open_with_wrong_sender_key(self, tmp_path, keyfiles, capsys):
         src = tmp_path / "m.txt"
         src.write_bytes(b"msg")

@@ -159,11 +159,14 @@ class TestOpenFailures:
 
 class TestEnvelopeInvariants:
     def test_dim_log2_range_enforced(self, recipient_pair, sender_pair):
+        # every other length agrees: one padding block of 2^dim_log2 bytes
+        # holds an empty plaintext, so only the range check can refuse it
         env = make_envelope(recipient_pair, sender_pair)
-        with pytest.raises(EnvelopeFormatError):
-            dataclasses.replace(env, dim_log2=0)
-        with pytest.raises(EnvelopeFormatError):
-            dataclasses.replace(env, dim_log2=7)
+        for dim_log2 in (0, 7):
+            with pytest.raises(EnvelopeFormatError, match="dim_log2 .* out of range"):
+                dataclasses.replace(
+                    env, dim_log2=dim_log2, plaintext_len=0, ciphertext=bytes(1 << dim_log2)
+                )
 
     def test_fingerprint_width_enforced(self, recipient_pair, sender_pair):
         env = make_envelope(recipient_pair, sender_pair)

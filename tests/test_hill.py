@@ -195,6 +195,9 @@ class TestPadding:
             hill.pad(b"x", 256)
         with pytest.raises(ValueError):
             hill.unpad(b"x", 0)
+        # PaddingError is a ValueError too, so match the bound's own message
+        with pytest.raises(ValueError, match="block length must be in"):
+            hill.unpad(bytes(256), 256)
 
 
 class TestStream:

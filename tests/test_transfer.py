@@ -239,6 +239,13 @@ class TestFrames:
         transfer.write_frame(buf, FrameKind.FILE, b"a" * 1024)
         assert len(buf.getvalue()) == 5 + 1024
 
+    def test_reader_takes_a_frame_of_exactly_max_frame(self, monkeypatch):
+        monkeypatch.setattr(transfer, "MAX_FRAME", 1024)
+        frame = transfer.read_frame(io.BytesIO(frame_bytes(FrameKind.FILE, b"a" * 1024)))
+        assert frame == Frame(FrameKind.FILE, b"a" * 1024)
+        with pytest.raises(FrameTooLargeError):
+            transfer.read_frame(io.BytesIO(frame_bytes(FrameKind.FILE, b"a" * 1025)))
+
     def test_short_header_rejected(self):
         with pytest.raises(ConnectionClosedError):
             transfer.read_frame(io.BytesIO(b"\x01\x00"))
@@ -287,6 +294,12 @@ class TestFilePayload:
             transfer.decode_file_payload(b"\x00")
         with pytest.raises(ProtocolError):
             transfer.decode_file_payload(struct.pack(">H", 10) + b"abc")
+
+    def test_exact_length_boundaries(self):
+        # two bytes hold the name length, so an empty name reaches the name check
+        with pytest.raises(ProtocolError, match="filename must be 1..255 UTF-8 bytes"):
+            transfer.decode_file_payload(b"\x00\x00")
+        assert transfer.decode_file_payload(struct.pack(">H", 1) + b"a") == ("a", b"")
 
     def test_non_utf8_name_rejected(self):
         with pytest.raises(ProtocolError):
@@ -360,6 +373,25 @@ class TestLoopback:
         assert ack.digest == real_sha256(data)
         assert (out_dir / "once.bin").read_bytes() == data
         assert hashed.count(len(data)) == 2
+
+    def test_plaintext_digest_is_readable_on_the_wire(self, server, recipient_pair, sender_pair):
+        # the signature is raw RSA over SHA-256(plaintext) and the ACK echoes
+        # that digest, so a guessed plaintext is confirmed with the sender's
+        # public key from the FILE frame, or with no key at all from the ACK
+        srv, _ = server
+        pub, _ = recipient_pair
+        spub, spriv = sender_pair
+        env = envelope.seal(b"yes", pub, spriv, spub, random.Random(43))
+        file_frame = frame_bytes(FrameKind.FILE, file_payload("answer", envelope.serialize(env)))
+        hello = frame_bytes(FrameKind.HELLO, transfer.HELLO_PAYLOAD)
+        ok, ack = raw_session(srv.port, [hello, file_frame])
+        assert (ok.kind, ack.kind) == (FrameKind.OK, FrameKind.ACK)
+
+        captured = transfer.read_frame(io.BytesIO(file_frame))
+        _, env_bytes = transfer.decode_file_payload(captured.payload)
+        digest = rsa.signed_digest(spub, envelope.parse(env_bytes).signature)
+        assert digest == rsa.sha256(b"yes") != rsa.sha256(b"no")
+        assert AckPayload.decode(ack.payload).digest == rsa.sha256(b"yes")
 
     def test_empty_file(self, server, recipient_pair, sender_pair, tmp_path):
         srv, out_dir = server
@@ -450,6 +482,13 @@ class TestLoopback:
         (reply,) = raw_session(srv.port, [frame_bytes(FrameKind.HELLO, b"hciv0")])
         assert reply.kind == FrameKind.ERR
         assert reply.payload == b"version"
+
+    def test_file_frame_instead_of_hello_rejected(self, server):
+        # its payload is the HELLO payload, so only the kind check refuses it
+        srv, out_dir = server
+        (reply,) = raw_session(srv.port, [frame_bytes(FrameKind.FILE, transfer.HELLO_PAYLOAD)])
+        assert reply == Frame(FrameKind.ERR, b"expected HELLO, got kind 3")
+        assert list(out_dir.iterdir()) == []
 
     def test_second_hello_instead_of_file_rejected(self, server):
         srv, out_dir = server
