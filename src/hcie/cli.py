@@ -194,12 +194,9 @@ def main(argv=None) -> int:
         return 1 if exc.code == 2 else exc.code
     try:
         return args.func(args)
-    except HcieError as exc:
+    except (HcieError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, HcieError) else 1
 
 
 if __name__ == "__main__":

@@ -55,8 +55,8 @@ MAX_DIM_LOG2 = 6
 DEFAULT_DIM_LOG2 = 4
 
 #: Bytes of blocks the stream kernel works on at a time.  A chunk's uint16
-#: lane planes and its rows of the output, which are the scratch of every
-#: shear and multiply-add, 2 chunks in all, stay in the L2 cache while
+#: lane planes and its rows of the output, which are the scratch of the
+#: l-shear and every multiply-add, 2 chunks in all, stay in the L2 cache while
 #: every factor runs.
 CHUNK_BYTES = 1 << 18
 
@@ -179,8 +179,9 @@ def _shears(f: RingMatrix) -> Tuple[int, int, int, int, int]:
     """Split a 2x2 factor [[a, b], [c, d]], with its columns swapped when b
     is odd, as p * [[1, 0], [l, e]] * [[1, u], [0, 1]].
 
-    Swapping whenever b is odd, not only when a is even, makes the in-lane
-    u-shear one multiply instead of four ufunc calls.  With the factor
+    The columns are swapped only to get an odd pivot: when b is even, a is
+    odd, since the determinant is.  The swap saves no work, as the kernel's
+    copy-in sets each lane's byte order at no cost.  With the factor
     [[p, q], [r, t]] in that column order, u = q/p, l = r/p and
     e = (p t - q r)/p^2.  Returns p, whether the columns are swapped (1 or
     0), u, l and e.
@@ -201,15 +202,16 @@ def _apply(factors: Sequence[RingMatrix], blocks: np.ndarray, out: np.ndarray) -
     matmul by the dense K.  Otherwise K is applied factor by factor and
     never built: by (A (x) B) vec(X) = vec(B X A^T), factor t acts on one
     digit of the byte position.  Each chunk is transposed into lane planes
-    of uint16 words: lane k of a block is w = x0 + 256 x1 at positions 2k
-    and 2k + 1, which differ only in the last digit.
+    of uint16 words: lane k of a block is the word w of its bytes at
+    positions 2k and 2k + 1, which differ only in the last digit.  The
+    copy-in reads w big-endian, or little-endian when the last factor's
+    columns are swapped, so the pivot byte of every lane lands high.
 
     Every factor, written as p * [[1, 0], [l, e]] * [[1, u], [0, 1]] by
     :func:`_shears`, is applied in place over p.  The last one mixes inside
     the lanes: multiplying w by 1 + 256k adds k times its low byte to its
-    high byte and never carries into the low byte, so
-    w <- (w >> 8)(1 + 256u) + 256 w, or w <- w (1 + 256u) when the columns
-    are swapped, leaves the pivot byte z0 high and the other byte v low, and
+    high byte and never carries into the low byte, so w <- w (1 + 256u)
+    leaves the pivot byte z0 high and the other byte v low, and
     w <- (w >> 8)(1 + 256l) + 256e w puts z0 low and l z0 + e v high.  Every
     other factor takes two multiply-adds on the uint8 halves of the planes,
     viewed as (outer, 2, inner): the pivot half gains u times the other,
@@ -218,13 +220,11 @@ def _apply(factors: Sequence[RingMatrix], blocks: np.ndarray, out: np.ndarray) -
     sees, since each acts on its own digit; so the copy-back reads lane k
     from plane k XOR ``flip``.  The product s of all pivots is a scalar, and
     K (s x) = s (K x), so each chunk is multiplied by s as it is copied into
-    its rows of ``out``, before any factor runs.  At n = 2 the one lane
-    plane is the rows themselves, so nothing is transposed and the copies
-    into and out of the planes are self-assignments.
+    its rows of ``out``, before any factor runs.
 
     uint8 ufuncs wrap on overflow, which is exactly arithmetic in Z_256.
-    The chunk's rows of ``out`` are the scratch of the in-lane shears and,
-    in their first half, of the multiply-adds, until the copy-back
+    The chunk's rows of ``out`` are the scratch of the l-shear and, in
+    their first half, of the multiply-adds, until the copy-back
     overwrites them, so the kernel allocates one chunk: the planes.
     """
     total, n = out.shape
@@ -239,23 +239,14 @@ def _apply(factors: Sequence[RingMatrix], blocks: np.ndarray, out: np.ndarray) -
     step = CHUNK_BYTES // n
     own = np.empty(min(step, total) * n, dtype=np.uint8)
     for lo in range(0, total, step):
-        rows, body = out[lo : lo + step], blocks[lo : lo + step]
-        np.multiply(body, scale, out=rows[: len(body)])
-        rows[len(body) :] *= scale
-        front = rows.reshape(-1)[: rows.nbytes // 2]
-        # rebound, so the uint8 view is freed before the planes are filled
-        rows = rows.view("<u2")
-        scratch = own[: rows.nbytes].view("<u2")
-        planes, spare = (rows.T, scratch) if lanes == 1 else (scratch.reshape(lanes, -1), rows)
-        spare = spare.reshape(planes.shape)
-        np.copyto(planes, rows.T)
-        if not swapped:
-            np.right_shift(planes, 8, out=spare)
-            spare *= 1 + 256 * u
-            planes *= 256
-            planes += spare
-        else:
-            planes *= 1 + 256 * u
+        chunk, body = out[lo : lo + step], blocks[lo : lo + step]
+        np.multiply(body, scale, out=chunk[: len(body)])
+        chunk[len(body) :] *= scale
+        rows = chunk.view("<u2")
+        planes = own[: chunk.nbytes].view("<u2").reshape(lanes, -1)
+        np.copyto(planes, chunk.view("<u2" if swapped else ">u2").T)
+        planes *= 1 + 256 * u
+        spare = rows.reshape(planes.shape)
         np.right_shift(planes, 8, out=spare)
         spare *= 1 + 256 * l
         planes *= 256 * e
@@ -264,7 +255,7 @@ def _apply(factors: Sequence[RingMatrix], blocks: np.ndarray, out: np.ndarray) -
         for _, swapped_t, u_t, l_t, e_t in planar:
             x = planes.view(np.uint8).reshape(outer, 2, -1)
             pivots, other = x[:, swapped_t], x[:, 1 - swapped_t]
-            t = front.reshape(outer, -1)
+            t = chunk.reshape(2, outer, -1)[0]
             np.multiply(other, u_t, out=t)
             pivots += t
             other *= e_t

@@ -106,8 +106,7 @@ def read_frame(stream: BinaryIO) -> Frame:
         kind = FrameKind(kind_byte)
     except ValueError:
         raise ProtocolError(f"unknown frame kind {kind_byte}") from None
-    payload = _read_exact(stream, length) if length else b""
-    return Frame(kind, payload)
+    return Frame(kind, _read_exact(stream, length))
 
 
 _NAME_BAD_CHARS = ("/", "\\", "\x00")
