@@ -168,9 +168,7 @@ def unpad(data: bytes, block_len: int) -> bytes:
     if len(data) == 0 or len(data) % block_len != 0:
         raise PaddingError("invalid padding: length not a positive multiple of block length")
     k = data[-1]
-    if not 1 <= k <= block_len:
-        raise PaddingError("invalid padding")
-    if data[-k:] != bytes([k]) * k:
+    if not 1 <= k <= block_len or data[-k:] != bytes([k]) * k:
         raise PaddingError("invalid padding")
     return data[:-k]
 

@@ -200,18 +200,19 @@ def encrypt_v15(
 
 
 def decrypt_v15(priv: RsaPrivateKey, ct: bytes) -> bytes:
-    """Inverse of :func:`encrypt_v15`.  Every failure, a failed private-key
-    check included, raises the same :class:`DecapsulationError`."""
+    """Inverse of :func:`encrypt_v15`; the fill must be at least 8 nonzero
+    bytes.  Every failure, a failed private-key check included, raises the
+    same :class:`DecapsulationError`."""
     k = priv.byte_length()
     x = int.from_bytes(ct, "big")
-    if len(ct) != k or x >= priv.n:
-        raise DecapsulationError("decapsulation failed")
-    try:
-        block = _private(priv, x).to_bytes(k, "big")
-    except RsaFaultError:
-        raise DecapsulationError("decapsulation failed") from None
+    block = b""
+    if len(ct) == k and x < priv.n:
+        try:
+            block = _private(priv, x).to_bytes(k, "big")
+        except RsaFaultError:
+            pass
     sep = block.find(b"\x00", 2)
-    if block[:2] != b"\x00\x02" or sep == -1:
+    if block[:2] != b"\x00\x02" or sep < V15_OVERHEAD - 1:
         raise DecapsulationError("decapsulation failed")
     return block[sep + 1 :]
 

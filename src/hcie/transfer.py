@@ -112,15 +112,17 @@ def read_frame(stream: BinaryIO) -> Frame:
 _NAME_BAD_CHARS = ("/", "\\", "\x00")
 
 
-def validate_filename(name: str) -> None:
+def validate_filename(name: str) -> bytes:
+    """The UTF-8 bytes of ``name``, or :class:`ProtocolError` if the wire refuses it."""
     try:
         raw = name.encode("utf-8")
-    except UnicodeEncodeError:  # a surrogate-escaped byte of a non-UTF-8 path
+    except UnicodeEncodeError:  # a surrogate-escaped byte of a non-UTF-8 path or FILE name
         raise ProtocolError("filename is not valid UTF-8") from None
     if not name or len(raw) > 255:
         raise ProtocolError("filename must be 1..255 UTF-8 bytes")
     if any(c in name for c in _NAME_BAD_CHARS) or name in (".", ".."):
         raise ProtocolError("filename must not contain path separators")
+    return raw
 
 
 def decode_file_payload(payload: bytes) -> tuple:
@@ -130,10 +132,7 @@ def decode_file_payload(payload: bytes) -> tuple:
     (name_len,) = struct.unpack(">H", payload[:2])
     if len(payload) < 2 + name_len:
         raise ProtocolError("FILE payload shorter than its name field")
-    try:
-        name = payload[2 : 2 + name_len].decode("utf-8")
-    except UnicodeDecodeError:
-        raise ProtocolError("filename is not valid UTF-8") from None
+    name = payload[2 : 2 + name_len].decode("utf-8", "surrogateescape")
     validate_filename(name)
     return name, memoryview(payload)[2 + name_len :]
 
@@ -155,8 +154,7 @@ def send_file(
     :class:`TransferError` whose ``stage`` names the failing step.
     """
     path = Path(path)
-    validate_filename(path.name)
-    raw = path.name.encode("utf-8")
+    raw = validate_filename(path.name)
     # unnamed, so the plaintext is freed as soon as seal returns
     env = envelope_mod.seal(
         path.read_bytes(), recipient_pub, sender_priv, sender_pub, rng, dim_log2

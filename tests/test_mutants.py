@@ -1,33 +1,47 @@
-"""A standing mutation check on the Hill stream kernel.
+"""A standing mutation check on the Hill stream functions and on the
+decoders of outside input.
 
-Each mutant is one edit to the syntax tree of ``hcie/hill.py`` inside
-``_shears`` or ``_apply``: an arithmetic or shift operator swapped, a
-comparison flipped, an integer constant plus 1, the byte orders ``"<u2"``
-and ``">u2"`` exchanged, or an ``if`` without ``else`` switched off.  It is
-compiled into a fresh module, no file written, and its ``encrypt_stream``
-and ``decrypt_stream`` run against the dense matrices.  A mutant that raises
-or gives other bytes is killed at its first mismatch.  The survivors must
-be exactly the equivalent mutants listed below, so that an edit the tests
-cannot see fails here.
+Each mutant is one edit to the syntax tree of one module, inside one of the
+functions named for it in ``TARGETS``: an arithmetic or shift operator
+swapped, a comparison flipped, an integer constant plus 1, the byte orders
+``"<u2"`` and ``">u2"`` exchanged, or an ``if`` without ``else`` switched
+off.  It is compiled into a fresh module, no file written, and run against
+that module's cases.  ``hill``'s stream functions run against the dense
+matrices and a table of malformed padding.  ``rsa``'s v1.5 decoders,
+``transfer``'s frame, name and FILE payload decoders and ``envelope.parse``
+run against fixed tables of hostile inputs.  Every case gives the value a
+call must return, or the exception type and message it must raise.  A
+mutant that gives other bytes or another error is killed at its first
+mismatch.  The survivors of each module must be exactly the equivalent
+mutants listed for it, so that an edit the tests cannot see fails here.
 """
 
 import ast
+import dataclasses
+import io
 import random
+import struct
 import sys
 import types
-from collections import Counter
+from collections import Counter, namedtuple
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hcie import hill, ring
+from hcie import envelope, hill, ring, rsa, transfer
+from hcie.errors import (
+    ConnectionClosedError,
+    DecapsulationError,
+    DimensionError,
+    EnvelopeFormatError,
+    FrameTooLargeError,
+    PaddingError,
+    ProtocolError,
+)
 from hcie.hill import HillKey
 from hcie.ring import BYTE_RING
-from test_hill import GL22, boundary_lengths, dense, lift
-
-SOURCE = Path(hill.__file__).read_text()
-MUTATED_FUNCTIONS = ("_shears", "_apply")
+from test_hill import GL22, boundary_lengths, dense, identity_key, lift
 
 OPERATOR_SWAPS = {
     ast.Add: ast.Sub, ast.Sub: ast.Add,
@@ -42,24 +56,42 @@ COMPARISON_FLIPS = {
 }
 BYTE_ORDERS = {"<u2": ">u2", ">u2": "<u2"}
 
-#: Mutants that give the same bytes, keyed by (source line, edit, the edit's
-#: index among equal edits on that line), each with why it changes nothing.
+#: Mutants that give the same results, keyed by (function, source line,
+#: edit, the edit's index among equal edits on that line), each with why it
+#: changes nothing.
 EQUIVALENT = {
-    ("step = CHUNK_BYTES // n", "FloorDiv -> Mult", 1):
-        "one chunk for the whole payload: same bytes, but a payload-sized "
-        "scratch, which tests/test_buffers.py::TestPeakMemory bounds",
-    ('planes = own[: chunk.nbytes].view("<u2").reshape(lanes, -1)', "1 -> 2", 1):
-        "reshape(lanes, -2): numpy reads any negative size as the one unknown",
-    ('planes = own[: chunk.nbytes].view("<u2").reshape(lanes, -1)', "<u2 -> >u2", 1):
-        "the planes' byte order is invisible: the shears and copies act on "
-        "values, and the multiply-adds pair the same byte of two lanes",
-    ("x = planes.view(np.uint8).reshape(outer, 2, -1)", "1 -> 2", 1):
-        "reshape(outer, 2, -2): numpy reads any negative size as the one unknown",
-    ("t = chunk.reshape(2, outer, -1)[0]", "1 -> 2", 1):
-        "reshape(2, outer, -2): numpy reads any negative size as the one unknown",
-    ("t = chunk.reshape(2, outer, -1)[0]", "0 -> 1", 1):
-        "the second half of the chunk's rows is as free a scratch as the first",
+    "hill": {
+        ("_apply", "step = CHUNK_BYTES // n", "FloorDiv -> Mult", 1):
+            "one chunk for the whole payload: same bytes, but a payload-sized "
+            "scratch, which tests/test_buffers.py::TestPeakMemory bounds",
+        ("_apply", 'planes = own[: chunk.nbytes].view("<u2").reshape(lanes, -1)', "1 -> 2", 1):
+            "reshape(lanes, -2): numpy reads any negative size as the one unknown",
+        ("_apply", 'planes = own[: chunk.nbytes].view("<u2").reshape(lanes, -1)',
+         "<u2 -> >u2", 1):
+            "the planes' byte order is invisible: the shears and copies act on "
+            "values, and the multiply-adds pair the same byte of two lanes",
+        ("_apply", "x = planes.view(np.uint8).reshape(outer, 2, -1)", "1 -> 2", 1):
+            "reshape(outer, 2, -2): numpy reads any negative size as the one unknown",
+        ("_apply", "t = chunk.reshape(2, outer, -1)[0]", "1 -> 2", 1):
+            "reshape(2, outer, -2): numpy reads any negative size as the one unknown",
+        ("_apply", "t = chunk.reshape(2, outer, -1)[0]", "0 -> 1", 1):
+            "the second half of the chunk's rows is as free a scratch as the first",
+        ("encrypt_stream",
+         "out = np.frombuffer(buf, dtype=np.uint8, offset=headroom).reshape(-1, n)", "1 -> 2", 1):
+            "reshape(-2, n): numpy reads any negative size as the one unknown",
+        ("decrypt_stream", "blocks = np.frombuffer(ciphertext, dtype=np.uint8).reshape(-1, n)",
+         "1 -> 2", 1):
+            "reshape(-2, n): numpy reads any negative size as the one unknown",
+        ("decrypt_stream", "out = np.frombuffer(buf, dtype=np.uint8).reshape(-1, n)", "1 -> 2", 1):
+            "reshape(-2, n): numpy reads any negative size as the one unknown",
+    },
+    "rsa": {},
+    "transfer": {},
+    "envelope": {},
 }
+
+#: What a call gave, or must give, when it raises.
+Raises = namedtuple("Raises", "type message")
 
 
 def _edits(node):
@@ -69,7 +101,7 @@ def _edits(node):
         yield f"{type(node.op).__name__} -> {new.__name__}", "op", new()
     if isinstance(node, ast.Compare) and type(node.ops[0]) in COMPARISON_FLIPS:
         new = COMPARISON_FLIPS[type(node.ops[0])]
-        yield f"{type(node.ops[0]).__name__} -> {new.__name__}", "ops", [new()]
+        yield f"{type(node.ops[0]).__name__} -> {new.__name__}", "ops", [new(), *node.ops[1:]]
     if isinstance(node, ast.Constant) and type(node.value) is int:
         yield f"{node.value} -> {node.value + 1}", "value", node.value + 1
     if isinstance(node, ast.Constant) and node.value in BYTE_ORDERS:
@@ -78,39 +110,67 @@ def _edits(node):
         yield "if -> if False", "test", ast.Constant(False)
 
 
-def mutants():
-    """(key, compiled module code) for every single edit in the named functions."""
-    lines = SOURCE.splitlines()
-    tree = ast.parse(SOURCE)
+def mutants(module, names):
+    """(key, compiled module code) for every single edit in the functions
+    ``names`` of ``module``."""
+    source = Path(module.__file__).read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
     seen = Counter()
-    functions = [f for f in tree.body if getattr(f, "name", None) in MUTATED_FUNCTIONS]
-    assert [f.name for f in functions] == list(MUTATED_FUNCTIONS)
+    functions = [f for f in tree.body if getattr(f, "name", None) in names]
+    assert sorted(f.name for f in functions) == sorted(names)
     for function in functions:
         for node in ast.walk(function):
             for description, attr, value in _edits(node):
-                line = lines[node.lineno - 1].strip()
-                seen[line, description] += 1
+                edit = function.name, lines[node.lineno - 1].strip(), description
+                seen[edit] += 1
                 original = getattr(node, attr)
                 setattr(node, attr, value)
-                code = compile(ast.fix_missing_locations(tree), "<mutant hill.py>", "exec")
+                code = compile(ast.fix_missing_locations(tree), "<mutant>", "exec")
                 setattr(node, attr, original)
-                yield (line, description, seen[line, description]), code
+                yield (*edit, seen[edit]), code
 
 
-def load(code):
-    module = types.ModuleType("hcie.hill_mutant")
-    module.__package__ = "hcie"
-    # dataclass looks its module up while it builds HillKey
-    sys.modules[module.__name__] = module
+def load(module, code):
+    """A fresh module of the package run from ``code``."""
+    fresh = types.ModuleType(f"{module.__name__}_mutant")
+    fresh.__package__ = "hcie"
+    # dataclass looks its module up while it builds a class
+    sys.modules[fresh.__name__] = fresh
     try:
-        exec(code, module.__dict__)
+        exec(code, fresh.__dict__)
     finally:
-        del sys.modules[module.__name__]
-    return module
+        del sys.modules[fresh.__name__]
+    return fresh
 
 
-def oracle_cases():
-    """(key, payload, dense ciphertext), cheapest first, so most mutants die early."""
+def plain(value):
+    """A result with its bytes-likes as bytes and its dataclasses, which a
+    fresh module defines anew, as tuples of their fields."""
+    if isinstance(value, (bytes, bytearray, memoryview)):
+        return bytes(value)
+    if isinstance(value, tuple):
+        return tuple(plain(v) for v in value)
+    if dataclasses.is_dataclass(value):
+        return tuple(plain(getattr(value, f.name)) for f in dataclasses.fields(value) if f.init)
+    return value
+
+
+def outcome(module, call):
+    try:
+        return plain(call(module))
+    except Exception as exc:
+        return Raises(type(exc), str(exc))
+
+
+def killed(module, cases):
+    with np.errstate(all="ignore"):
+        return any(outcome(module, call) != expected for call, expected in cases)
+
+
+def hill_cases(pairs):
+    """The dense matrices' bytes, cheapest first so most mutants die early,
+    then malformed padding and ciphertext lengths."""
     rng = random.Random("mutants")
     keys = [hill.derive_key(rng.randbytes(32), s) for s in (1, 2, 4, 6)]
     for residues in GL22:
@@ -124,27 +184,261 @@ def oracle_cases():
     keys.append(HillKey.from_matrix(ring.random_invertible(3, BYTE_RING, rng)))
     short = [(key, rng.randbytes(length)) for key in keys for length in range(0, 3 * key.dim + 2)]
     long = [(key, rng.randbytes(n)) for key in keys[:4] for n in boundary_lengths(key.dim)]
-    return [(key, data, dense(key.forward, hill.pad(data, key.dim))) for key, data in short + long]
+    cases = []
+    for key, data in short + long:
+        ct = dense(key.forward, hill.pad(data, key.dim))
+        cases.append((lambda m, key=key, data=data: m.encrypt_stream(key, data), ct))
+        cases.append((lambda m, key=key, ct=ct: m.decrypt_stream(key, ct), data))
+
+    key, data = keys[1], b"headroom"
+    cases.append((lambda m: m.encrypt_stream(key, data, 3),
+                  bytes(3) + dense(key.forward, hill.pad(data, key.dim))))
+
+    def call(name, *args):
+        return lambda m: getattr(m, name)(*args)
+
+    def block_len_error(n):
+        return Raises(ValueError, f"block length must be in [1, 255], got {n}")
+
+    invalid = Raises(PaddingError, "invalid padding")
+    ragged = Raises(
+        PaddingError, "invalid padding: length not a positive multiple of block length"
+    )
+    cases += [
+        (call("pad", b"x", 0), block_len_error(0)),
+        (call("pad", b"x", 256), block_len_error(256)),
+        (call("pad", b"x", 1), b"x\x01"),
+        (call("pad", bytes(254), 255), bytes(254) + b"\x01"),
+        (call("pad", bytes(255), 255), bytes(255) + b"\xff" * 255),
+        (call("unpad", b"x", 0), block_len_error(0)),
+        (call("unpad", bytes(256), 256), block_len_error(256)),
+        (call("unpad", b"\x01", 1), b""),
+        (call("unpad", bytes(254) + b"\x01", 255), bytes(254)),
+        (call("unpad", b"\xff" * 255, 255), b""),
+        (call("unpad", b"abcd\x04\x04\x04\x04", 4), b"abcd"),
+        (call("unpad", b"a\x03\x03\x03", 4), b"a"),
+        (call("unpad", b"", 4), ragged),
+        (call("unpad", b"ab\x01", 4), ragged),
+        (call("unpad", b"abcd\x01", 4), ragged),
+        (call("unpad", b"abc\x00", 4), invalid),  # k = 0
+        (call("unpad", b"abc\x05", 4), invalid),  # k > n
+        (call("unpad", b"abc\x05\x05\x05\x05\x05", 4), invalid),  # k > n, all k bytes equal
+        (call("unpad", b"ab\x01\x02", 4), invalid),  # mismatched pad bytes
+        (call("unpad", b"a\x02\x03\x03", 4), invalid),
+        (call("decrypt_stream", identity_key(4), b""),
+         Raises(DimensionError, "ciphertext length 0 is not a positive multiple of 4")),
+        (call("decrypt_stream", identity_key(4), bytes(6)),
+         Raises(DimensionError, "ciphertext length 6 is not a positive multiple of 4")),
+        (call("decrypt_stream", identity_key(4), bytes(4)), invalid),
+        (call("decrypt_stream", identity_key(4), b"abcd" + bytes(3) + b"\x09"), invalid),
+    ]
+    return cases
 
 
-def killed(module, cases):
-    with np.errstate(all="ignore"):
-        for key, payload, ct in cases:
-            try:
-                if module.encrypt_stream(key, payload) != ct:
-                    return True
-                if module.decrypt_stream(key, ct) != payload:
-                    return True
-            except Exception:
-                return True
-    return False
+def rsa_cases(pairs):
+    """v1.5 blocks and seeds, well and badly formed, under the 512-bit key."""
+    (pub, priv), _ = pairs
+    k = pub.byte_length()
+    rng = random.Random("mutants:rsa")
+
+    def forge(block):
+        return pow(int.from_bytes(block, "big"), pub.e, pub.n).to_bytes(k, "big")
+
+    def v15(ct, key=priv):
+        return lambda m: m.decrypt_v15(key, ct)
+
+    def seed(ct):
+        return lambda m: m.decrypt_seed(priv, ct)
+
+    fail = Raises(DecapsulationError, "decapsulation failed")
+    cases = []
+    for fill in (0, 7, 8, 9):
+        # the data's first zero byte lies past an 8-byte fill
+        data = b"\x22" * 8 + bytes(k - 11 - fill)
+        block = b"\x00\x02" + b"\x11" * fill + b"\x00" + data
+        cases.append((v15(forge(block)), data if fill >= 8 else fail))
+    valid = b"\x00\x02" + b"\x11" * 8 + b"\x00" + bytes(range(1, k - 10))
+    good = forge(valid)
+    faulty = dataclasses.replace(priv, d=priv.d + 2)
+    cases += [
+        (v15(good), valid[11:]),
+        (v15(forge(b"\x00\x02" + b"\x11" * (k - 3) + b"\x00")), b""),
+        (v15(forge(b"\x00\x01" + valid[2:])), fail),  # bad type byte
+        (v15(forge(b"\x01\x02" + valid[2:])), fail),
+        (v15(forge(b"\x00\x02" + b"\x11" * (k - 2))), fail),  # no separator
+        (v15(good[:-1]), fail),  # wrong width
+        (v15(good + b"\x00"), fail),
+        (v15(b"\x00" + good), fail),  # the same value, one byte wider
+        (v15(pub.n.to_bytes(k, "big")), fail),  # not below n
+        (v15((pub.n + 1).to_bytes(k, "big")), fail),
+        (v15(b"\xff" * k), fail),
+        (v15(good, faulty), fail),  # the private-key check fails
+    ]
+    for length in (0, 1, 32, k - 11):
+        data = rng.randbytes(length)
+        cases.append((v15(rsa.encrypt_v15(pub, data, rng)), data))
+    for width in (31, 32, 33):
+        data = rng.randbytes(width)
+        ct = rsa.encrypt_v15(pub, data, rng)
+        cases.append((seed(ct), data if width == 32 else fail))
+    cases.append((seed(good), fail))
+    return cases
+
+
+#: The frame limit set on each fresh transfer module, so frames around it
+#: stay small.
+SMALL_FRAME = 64
+
+
+def transfer_cases(pairs):
+    """File names, FILE payloads and frames from a hostile peer."""
+
+    def name(value):
+        return lambda m: m.validate_filename(value)
+
+    def payload(data):
+        return lambda m: m.decode_file_payload(data)
+
+    def frame(data):
+        def call(m):
+            m.MAX_FRAME = SMALL_FRAME
+            return m.read_frame(io.BytesIO(data))
+        return call
+
+    def named(raw, rest=b""):
+        return struct.pack(">H", len(raw)) + raw + rest
+
+    def header(kind, length):
+        return struct.pack(">BI", kind, length)
+
+    length_rule = Raises(ProtocolError, "filename must be 1..255 UTF-8 bytes")
+    separators = Raises(ProtocolError, "filename must not contain path separators")
+    not_utf8 = Raises(ProtocolError, "filename is not valid UTF-8")
+    too_short = Raises(ProtocolError, "FILE payload too short")
+    shorter = Raises(ProtocolError, "FILE payload shorter than its name field")
+    closed = Raises(ConnectionClosedError, "connection closed")
+    cases = [
+        (name("a"), b"a"),
+        (name("résumé.txt"), "résumé.txt".encode()),
+        (name("x" * 255), b"x" * 255),
+        (name("é" * 127 + "x"), ("é" * 127 + "x").encode()),
+        (name(""), length_rule),
+        (name("x" * 256), length_rule),
+        (name("é" * 128), length_rule),
+        (name("a/b"), separators),
+        (name("a\\b"), separators),
+        (name("a\x00b"), separators),
+        (name("."), separators),
+        (name(".."), separators),
+        (name("..."), b"..."),
+        (name("\udcff"), not_utf8),
+        (name("a\udcffb"), not_utf8),
+        (payload(b""), too_short),
+        (payload(b"\x00"), too_short),
+        (payload(b"\x00\x00"), length_rule),
+        (payload(b"\x00\x00env"), length_rule),
+        (payload(named(b"a")), ("a", b"")),
+        (payload(named(b"abc", b"env")), ("abc", b"env")),
+        (payload(named("é".encode(), b"\x00")), ("é", b"\x00")),
+        (payload(named(b"abc")[:-1]), shorter),
+        (payload(struct.pack(">H", 0xFFFF) + b"x" * 300), shorter),
+        (payload(named(b"\xff\xfe", b"rest")), not_utf8),
+        (payload(named(b"\xed\xb3\xbf")), not_utf8),  # an encoded surrogate
+        (payload(named(b"a/b", b"env")), separators),
+        (payload(named(b".")), separators),
+        (payload(named(b"..", b"env")), separators),
+        (payload(named(b"x" * 256)), length_rule),
+        (frame(b""), closed),
+        (frame(b"\x01\x00"), closed),
+        (frame(header(1, 0)[:-1]), closed),
+        (frame(header(1, 3) + b"ab"), closed),  # short payload
+        (frame(header(0, 0)), Raises(ProtocolError, "unknown frame kind 0")),
+        (frame(header(6, 0)), Raises(ProtocolError, "unknown frame kind 6")),
+        (frame(header(255, 1) + b"x"), Raises(ProtocolError, "unknown frame kind 255")),
+        (frame(header(3, SMALL_FRAME + 1) + bytes(SMALL_FRAME + 1)),
+         Raises(FrameTooLargeError, f"frame of {SMALL_FRAME + 1} bytes exceeds maximum 64")),
+        (frame(header(9, 2**32 - 1)),
+         Raises(FrameTooLargeError, f"frame of {2**32 - 1} bytes exceeds maximum 64")),
+        (frame(header(3, SMALL_FRAME) + b"f" * SMALL_FRAME), (3, b"f" * SMALL_FRAME)),
+        (frame(header(2, 0)), (2, b"")),
+        (frame(header(5, 3) + b"errmore"), (5, b"err")),
+    ]
+    cases += [(frame(header(kind, 1) + b"k"), (kind, b"k")) for kind in range(1, 6)]
+    return cases
+
+
+def envelope_cases(pairs):
+    """A sealed envelope cut at every byte, and with one bad field each."""
+    (pub, _), (spub, spriv) = pairs
+    env = envelope.seal(b"hostile", pub, spriv, spub, random.Random("mutants:env"), 1)
+    data = bytes(envelope.serialize(env))
+    k = pub.byte_length()
+    fields = [("header", 40), ("seed length field", 4), ("encapsulated seed", k),
+              ("signature length field", 4), ("signature", spub.byte_length()),
+              ("length fields", 16), ("ciphertext", len(env.ciphertext))]
+
+    def parse(blob):
+        return lambda m: m.parse(blob)
+
+    def bad(message):
+        return Raises(EnvelopeFormatError, message)
+
+    cases = [(parse(data), plain(env)), (parse(bytearray(data)), plain(env))]
+    end = 0
+    for what, size in fields:
+        cases += [(parse(data[:cut]), bad(f"truncated {what}")) for cut in range(end, end + size)]
+        end += size
+    assert end == len(data)
+    cases += [
+        (parse(b"HCIF" + data[4:]), bad("bad magic b'HCIF'")),
+        (parse(data[:4] + b"\x00" + data[5:]), bad("unsupported version 0")),
+        (parse(data[:4] + b"\x02" + data[5:]), bad("unsupported version 2")),
+        (parse(data[:6] + b"\x00\x01" + data[8:]), bad("reserved field must be zero")),
+        (parse(data[:6] + b"\x80\x00" + data[8:]), bad("reserved field must be zero")),
+        (parse(data + b"\x00"), bad("trailing data after ciphertext")),
+        (parse(data[:5] + b"\x00" + data[6:]), bad("dim_log2 0 out of range")),
+        (parse(data[:5] + b"\x07" + data[6:]), bad("dim_log2 7 out of range")),
+    ]
+    return cases
+
+
+#: Each module, the functions of it that are mutated and its cases.
+TARGETS = {
+    "hill": (
+        hill, ("pad", "unpad", "_shears", "_apply", "encrypt_stream", "decrypt_stream"), hill_cases
+    ),
+    "rsa": (rsa, ("decrypt_v15", "decrypt_seed"), rsa_cases),
+    "transfer": (
+        transfer,
+        ("_read_exact", "read_frame", "validate_filename", "decode_file_payload"),
+        transfer_cases,
+    ),
+    "envelope": (envelope, ("parse",), envelope_cases),
+}
+
+
+def check(target, pairs):
+    """Every mutant of ``target`` is killed by its cases or listed as equivalent."""
+    module, names, make_cases = TARGETS[target]
+    cases = make_cases(pairs)
+    source = Path(module.__file__).read_text()
+    assert not killed(load(module, compile(source, "<original>", "exec")), cases)
+    results = {key: killed(load(module, code), cases) for key, code in mutants(module, names)}
+    survivors = {key for key, dead in results.items() if not dead}
+    counts = Counter(function for function, *_ in results)
+    survived = Counter(function for function, *_ in survivors)
+    print(target, {f: f"{counts[f]} mutants, {survived[f]} survived" for f in names})
+    assert survivors == set(EQUIVALENT[target]), sorted(survivors ^ set(EQUIVALENT[target]))
 
 
 @pytest.mark.slow
-def test_every_kernel_mutant_is_killed_or_listed_as_equivalent():
-    cases = oracle_cases()
-    assert not killed(hill, cases)
-    results = {key: killed(load(code), cases) for key, code in mutants()}
-    survivors = {key for key, dead in results.items() if not dead}
-    print(f"{len(results)} mutants, {len(survivors)} survived")
-    assert survivors == set(EQUIVALENT), sorted(survivors ^ set(EQUIVALENT))
+def test_every_kernel_mutant_is_killed_or_listed_as_equivalent(recipient_pair, sender_pair):
+    check("hill", (recipient_pair, sender_pair))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("target", ["rsa", "transfer", "envelope"])
+def test_every_decoder_mutant_is_killed_or_listed_as_equivalent(
+    target, recipient_pair, sender_pair
+):
+    check(target, (recipient_pair, sender_pair))

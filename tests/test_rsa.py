@@ -414,6 +414,20 @@ class TestV15Blocks:
             with pytest.raises(DecapsulationError, match="^decapsulation failed$"):
                 rsa.decrypt_seed(priv, ct)
 
+    def test_fill_shorter_than_eight_bytes_is_rejected(self, recipient_pair):
+        # PKCS#1 v1.5 (RFC 8017, 7.2.2) needs at least 8 bytes of fill
+        pub, priv = recipient_pair
+        k = pub.byte_length()
+        for fill in (0, 7, 8):
+            data = bytes(range(1, k - 2 - fill))
+            block = b"\x00\x02" + b"\x11" * fill + b"\x00" + data
+            forged = pow(int.from_bytes(block, "big"), pub.e, pub.n).to_bytes(k, "big")
+            if fill < 8:
+                with pytest.raises(DecapsulationError, match="^decapsulation failed$"):
+                    rsa.decrypt_v15(priv, forged)
+            else:
+                assert rsa.decrypt_v15(priv, forged) == data
+
 
 class TestKeyFiles:
     def test_round_trip_public(self, recipient_pair):
