@@ -14,6 +14,7 @@ import errno
 import itertools
 import logging
 import os
+import queue
 import random
 import socket
 import socketserver
@@ -23,7 +24,7 @@ import threading
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
-from typing import BinaryIO, Callable, Dict, Optional
+from typing import BinaryIO, Callable, Dict, List, Optional
 
 from . import envelope as envelope_mod
 from . import hill, rsa
@@ -263,21 +264,23 @@ def _close(stream: BinaryIO, conn: socket.socket) -> None:
     conn.close()
 
 
-class TransferServer(socketserver.ThreadingTCPServer):
+class TransferServer(socketserver.TCPServer):
     """Receive-only envelope server; one file per connection.
 
     Construct with ``port=0`` to bind an ephemeral port (see ``.port``),
     run :meth:`serve_forever` on a dedicated thread, and stop it with
     ``shutdown()`` while that loop runs; the port closes when it returns.
-    Each connection gets a daemon thread, up to ``MAX_CONNECTIONS`` at once
-    (read when the server is built); one more is answered ERR ``server
-    busy`` and closed on the accepting thread.  Sessions share only the
-    output directory, where files appear whole and ``link`` never replaces
-    a name, so they need no locking.
+    Each connection goes to the session thread that went idle last; a new
+    daemon thread starts only when none is idle, so session threads never
+    outnumber ``MAX_CONNECTIONS`` (read when the server is built).  That
+    many connections are served at once; one more is answered ERR ``server
+    busy`` and closed on the accepting thread.  Closing the server stops
+    the idle threads and each busy one once its session ends.  Sessions
+    share only the output directory, where files appear whole and ``link``
+    never replaces a name, so they need no locking.
     """
 
     allow_reuse_address = True
-    daemon_threads = True
     request_queue_size = MAX_CONNECTIONS
 
     def __init__(
@@ -292,6 +295,8 @@ class TransferServer(socketserver.ThreadingTCPServer):
         self._lookup = sender_pub_lookup
         self._out_dir = Path(out_dir)
         self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
+        self._handoffs: List[queue.SimpleQueue] = []  # one per session thread
+        self._idle: List[queue.SimpleQueue] = []  # of idle threads, the newest last
         super().__init__((host, port), None)
         self.port = self.server_address[1]
 
@@ -300,6 +305,11 @@ class TransferServer(socketserver.ThreadingTCPServer):
             super().serve_forever(poll_interval=0.2)
         finally:
             self.server_close()
+
+    def server_close(self) -> None:
+        super().server_close()
+        for handoff in self._handoffs:
+            handoff.put(None)
 
     def process_request(self, conn: socket.socket, addr) -> None:
         if not self._slots.acquire(blocking=False):
@@ -310,16 +320,30 @@ class TransferServer(socketserver.ThreadingTCPServer):
             _send_err(stream, addr, ServerBusyError("connection cap reached"))
             _close(stream, conn)
             return
+        if self._idle:  # only this thread pops, so it stays non-empty
+            self._idle.pop().put((conn, addr))
+            return
+        handoff = queue.SimpleQueue()
+        handoff.put((conn, addr))
+        self._handoffs.append(handoff)
         try:
-            super().process_request(conn, addr)
+            threading.Thread(target=self._serve, args=(handoff,), daemon=True).start()
         except RuntimeError:  # no thread started, so none will release it
+            self._handoffs.remove(handoff)
             self._slots.release()
             raise
 
-    def process_request_thread(self, conn: socket.socket, addr) -> None:
-        try:
-            super().process_request_thread(conn, addr)
-        finally:
+    def _serve(self, handoff: queue.SimpleQueue) -> None:
+        for conn, addr in iter(handoff.get, None):
+            try:
+                self.finish_request(conn, addr)
+            except Exception:
+                self.handle_error(conn, addr)
+            finally:
+                self.shutdown_request(conn)
+            # idle before the slot is free, so a connection given that slot
+            # finds this thread rather than starting another
+            self._idle.append(handoff)
             self._slots.release()
 
     def finish_request(self, conn: socket.socket, addr) -> None:

@@ -168,11 +168,11 @@ def test_server_and_in_process_steps_agree_on_every_case(
 
     inbox = tmp_path / "inbox"
     inbox.mkdir()
+    threads = set(threading.enumerate())
     srv = transfer.TransferServer(0, priv, table.get, inbox, host="127.0.0.1")
     loop = threading.Thread(target=srv.serve_forever, daemon=True)
     loop.start()
     try:
-        threads = threading.active_count()
         # a FILE frame first, even one carrying the HELLO payload, is refused
         first = frame_bytes(FrameKind.FILE, transfer.HELLO_PAYLOAD)
         (refused,) = raw_session(srv.port, [first])
@@ -191,13 +191,14 @@ def test_server_and_in_process_steps_agree_on_every_case(
                 assert files < now and rsa.sha256((inbox / new).read_bytes()) == reply.payload[1:]
             files = now
             replies["ACK" if reply.kind == FrameKind.ACK else reply.payload.decode()] += 1
-        deadline = time.monotonic() + 5.0
-        while threading.active_count() != threads and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert threading.active_count() == threads
     finally:
         srv.shutdown()
         loop.join(timeout=5)
     assert not loop.is_alive()
+    # session threads outlive their sessions, but not the server
+    deadline = time.monotonic() + 5.0
+    while not set(threading.enumerate()) <= threads and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert set(threading.enumerate()) <= threads
     print(f"{len(cases)} cases:", dict(replies.most_common()))
     assert replies["ACK"] and replies["decapsulation failed"] and replies["invalid padding"]

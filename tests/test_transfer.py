@@ -717,8 +717,9 @@ class TestConnectionCap:
 
         def start_then_interrupt(thread):
             start(thread)
-            thread.join(timeout=5)
-            assert not thread.is_alive()
+            # the session thread outlives its session; wait for the slot
+            assert srv._slots.acquire(timeout=5)
+            srv._slots.release()
             raise KeyboardInterrupt
 
         with transfer.TransferServer(0, priv, table.get, out_dir, host="127.0.0.1") as srv:
@@ -736,6 +737,70 @@ class TestConnectionCap:
                 loop.join(timeout=5)
         assert ack.status == 0
         assert (out_dir / "later.bin").read_bytes() == src.read_bytes()
+
+    def test_an_idle_session_thread_serves_the_next_connection(
+        self, server, recipient_pair, sender_pair, tmp_path, monkeypatch
+    ):
+        srv, out_dir = server
+        pub, _ = recipient_pair
+        spub, spriv = sender_pair
+        start, started = threading.Thread.start, []
+
+        def counted_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        for i in range(20):
+            src = tmp_path / f"seq{i}.bin"
+            src.write_bytes(bytes([i]) * i)
+            assert transfer.send_file("127.0.0.1", srv.port, src, pub, spriv, spub).status == 0
+            # the ACK is written before the session thread goes idle
+            deadline = time.monotonic() + 5.0
+            while not srv._idle and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert srv._idle
+        assert len(started) == 1
+        assert len(os.listdir(out_dir)) == 20
+
+    def test_session_threads_never_outnumber_the_cap(
+        self, recipient_pair, sender_pair, tmp_path, monkeypatch
+    ):
+        # sessions end while new connections arrive; a thread that freed its
+        # slot before going idle would let one of them start a third thread
+        class SlowRelease(threading.BoundedSemaphore):
+            def release(self):
+                super().release()
+                time.sleep(0.005)  # widens any gap after a freed slot
+
+        monkeypatch.setattr(transfer, "MAX_CONNECTIONS", 2)
+        out_dir = tmp_path / "incoming"
+        out_dir.mkdir()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with running_server(recipient_pair, sender_pair, out_dir) as srv:
+                srv._slots = SlowRelease(2)
+                before = set(threading.enumerate())  # the serving loop included
+                for _ in range(50):
+                    held = []
+                    while len(held) < 2:
+                        sock = socket.create_connection(("127.0.0.1", srv.port), timeout=5.0)
+                        stream = sock.makefile("rwb")
+                        transfer.write_frame(stream, FrameKind.HELLO, transfer.HELLO_PAYLOAD)
+                        reply = transfer.read_frame(stream)
+                        assert len(set(threading.enumerate()) - before) <= 2
+                        if reply.kind == FrameKind.OK:
+                            held.append((sock, stream))
+                            continue
+                        assert reply == Frame(FrameKind.ERR, b"server busy")
+                        stream.close()
+                        sock.close()
+                    for sock, stream in held:
+                        stream.close()
+                        sock.close()
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def drain_and_reply(listener: socket.socket, last_reply: bytes) -> None:
