@@ -271,13 +271,13 @@ class TransferServer(socketserver.TCPServer):
     run :meth:`serve_forever` on a dedicated thread, and stop it with
     ``shutdown()`` while that loop runs; the port closes when it returns.
     Each connection goes to the session thread that went idle last; a new
-    daemon thread starts only when none is idle, so session threads never
-    outnumber ``MAX_CONNECTIONS`` (read when the server is built).  That
-    many connections are served at once; one more is answered ERR ``server
-    busy`` and closed on the accepting thread.  Closing the server stops
-    the idle threads and each busy one once its session ends.  Sessions
-    share only the output directory, where files appear whole and ``link``
-    never replaces a name, so they need no locking.
+    daemon thread starts only when none is idle and fewer than
+    ``MAX_CONNECTIONS`` run, so the session threads are the cap: with all
+    of them busy, one more connection is answered ERR ``server busy`` and
+    closed on the accepting thread.  Closing the server stops the idle
+    threads and each busy one once its session ends.  Sessions share only
+    the output directory, where files appear whole and ``link`` never
+    replaces a name, so they need no locking.
     """
 
     allow_reuse_address = True
@@ -294,7 +294,6 @@ class TransferServer(socketserver.TCPServer):
         self._recipient_priv = recipient_priv
         self._lookup = sender_pub_lookup
         self._out_dir = Path(out_dir)
-        self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
         self._handoffs: List[queue.SimpleQueue] = []  # one per session thread
         self._idle: List[queue.SimpleQueue] = []  # of idle threads, the newest last
         super().__init__((host, port), None)
@@ -312,26 +311,26 @@ class TransferServer(socketserver.TCPServer):
             handoff.put(None)
 
     def process_request(self, conn: socket.socket, addr) -> None:
-        if not self._slots.acquire(blocking=False):
+        # only this thread pops _idle or grows _handoffs, and a session thread
+        # only appends itself to _idle, so a test below that passes stays true
+        if self._idle:
+            self._idle.pop().put((conn, addr))
+        elif len(self._handoffs) < MAX_CONNECTIONS:
+            handoff = queue.SimpleQueue()
+            handoff.put((conn, addr))
+            self._handoffs.append(handoff)
+            try:
+                threading.Thread(target=self._serve, args=(handoff,), daemon=True).start()
+            except RuntimeError:  # no thread started, so none will serve it
+                self._handoffs.remove(handoff)
+                raise
+        else:
             # the accepting thread must not wait on this peer: a short ERR
             # fits an empty send buffer, or is dropped
             conn.setblocking(False)
             stream = conn.makefile("wb")
             _send_err(stream, addr, ServerBusyError("connection cap reached"))
             _close(stream, conn)
-            return
-        if self._idle:  # only this thread pops, so it stays non-empty
-            self._idle.pop().put((conn, addr))
-            return
-        handoff = queue.SimpleQueue()
-        handoff.put((conn, addr))
-        self._handoffs.append(handoff)
-        try:
-            threading.Thread(target=self._serve, args=(handoff,), daemon=True).start()
-        except RuntimeError:  # no thread started, so none will release it
-            self._handoffs.remove(handoff)
-            self._slots.release()
-            raise
 
     def _serve(self, handoff: queue.SimpleQueue) -> None:
         for conn, addr in iter(handoff.get, None):
@@ -339,12 +338,7 @@ class TransferServer(socketserver.TCPServer):
                 self.finish_request(conn, addr)
             except Exception:
                 self.handle_error(conn, addr)
-            finally:
-                self.shutdown_request(conn)
-            # idle before the slot is free, so a connection given that slot
-            # finds this thread rather than starting another
             self._idle.append(handoff)
-            self._slots.release()
 
     def finish_request(self, conn: socket.socket, addr) -> None:
         conn.settimeout(CONNECTION_TIMEOUT)

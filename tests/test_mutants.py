@@ -1,19 +1,24 @@
-"""A standing mutation check on the Hill stream functions and on the
-decoders of outside input.
+"""A standing mutation check on the Hill stream functions, on the
+decoders of outside input and on the checks that open an envelope.
 
 Each mutant is one edit to the syntax tree of one module, inside one of the
-functions named for it in ``TARGETS``: an arithmetic or shift operator
-swapped, a comparison flipped, an integer constant plus 1, the byte orders
-``"<u2"`` and ``">u2"`` exchanged, or an ``if`` without ``else`` switched
-off.  It is compiled into a fresh module, no file written, and run against
-that module's cases.  ``hill``'s stream functions run against the dense
-matrices and a table of malformed padding.  ``rsa``'s v1.5 decoders,
-``transfer``'s frame, name and FILE payload decoders and ``envelope.parse``
-run against fixed tables of hostile inputs.  Every case gives the value a
-call must return, or the exception type and message it must raise.  A
-mutant that gives other bytes or another error is killed at its first
-mismatch.  The survivors of each module must be exactly the equivalent
-mutants listed for it, so that an edit the tests cannot see fails here.
+functions or methods (``Class.method``) named for it in ``TARGETS``: an
+arithmetic or shift operator swapped, a comparison flipped, an integer
+constant plus 1, the byte orders ``"<u2"`` and ``">u2"`` exchanged, or an
+``if`` without ``else`` switched off.  It is compiled into a fresh module,
+no file written, and run against that module's cases.  ``hill``'s stream
+functions run against the dense matrices and a table of malformed padding.
+``rsa``'s v1.5 decoders, ``transfer``'s frame, name and FILE payload
+decoders and ``envelope.parse`` run against fixed tables of hostile inputs.
+``envelope.open_envelope`` runs on sealed envelopes with one check failing
+each, ``Envelope.__post_init__`` on fields at and past their bounds, and
+the receiver's ``TransferServer._session`` on whole sessions held in
+memory, against a receiver that trusts two senders.  Every case gives the
+value a call must return, or the exception type and message it must
+raise.  A mutant that gives other bytes or another error is killed at its
+first mismatch.  The survivors of each module must be exactly the
+equivalent mutants listed for it, so that an edit the tests cannot see
+fails here.
 """
 
 import ast
@@ -22,6 +27,7 @@ import io
 import random
 import struct
 import sys
+import tempfile
 import types
 from collections import Counter, namedtuple
 from pathlib import Path
@@ -35,9 +41,12 @@ from hcie.errors import (
     DecapsulationError,
     DimensionError,
     EnvelopeFormatError,
+    FingerprintMismatchError,
     FrameTooLargeError,
     PaddingError,
+    PlaintextLengthError,
     ProtocolError,
+    SignatureError,
 )
 from hcie.hill import HillKey
 from hcie.ring import BYTE_RING
@@ -110,6 +119,18 @@ def _edits(node):
         yield "if -> if False", "test", ast.Constant(False)
 
 
+def _functions(tree):
+    """(name, node) for every function of a module and every method of its
+    classes, a method named ``Class.method``."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef):
+                    yield f"{node.name}.{method.name}", method
+
+
 def mutants(module, names):
     """(key, compiled module code) for every single edit in the functions
     ``names`` of ``module``."""
@@ -117,12 +138,12 @@ def mutants(module, names):
     lines = source.splitlines()
     tree = ast.parse(source)
     seen = Counter()
-    functions = [f for f in tree.body if getattr(f, "name", None) in names]
-    assert sorted(f.name for f in functions) == sorted(names)
-    for function in functions:
+    functions = [(name, f) for name, f in _functions(tree) if name in names]
+    assert sorted(name for name, _ in functions) == sorted(names)
+    for name, function in functions:
         for node in ast.walk(function):
             for description, attr, value in _edits(node):
-                edit = function.name, lines[node.lineno - 1].strip(), description
+                edit = name, lines[node.lineno - 1].strip(), description
                 seen[edit] += 1
                 original = getattr(node, attr)
                 setattr(node, attr, value)
@@ -237,7 +258,7 @@ def hill_cases(pairs):
 
 def rsa_cases(pairs):
     """v1.5 blocks and seeds, well and badly formed, under the 512-bit key."""
-    (pub, priv), _ = pairs
+    (pub, priv), *_ = pairs
     k = pub.byte_length()
     rng = random.Random("mutants:rsa")
 
@@ -364,12 +385,90 @@ def transfer_cases(pairs):
         (frame(header(5, 3) + b"errmore"), (5, b"err")),
     ]
     cases += [(frame(header(kind, 1) + b"k"), (kind, b"k")) for kind in range(1, 6)]
-    return cases
+    return cases + session_cases(pairs)
+
+
+class Peer:
+    """One connection's stream, in memory: it reads the peer's bytes and
+    keeps the replies."""
+
+    def __init__(self, data):
+        self._incoming = io.BytesIO(data)
+        self.replies = bytearray()
+
+    def read(self, count):
+        return self._incoming.read(count)
+
+    def write(self, data):
+        self.replies += data
+
+    def flush(self):
+        pass
+
+
+def session_cases(pairs):
+    """Whole sessions against a receiver that trusts two senders: the replies
+    and the files written, or the error the session raises."""
+    (pub, priv), (spub, spriv), (opub, opriv) = pairs
+    rng = random.Random("mutants:session")
+    table = {rsa.fingerprint(spub): spub, rsa.fingerprint(opub): opub}
+
+    def wire(kind, payload=b""):
+        return struct.pack(">BI", kind, len(payload)) + payload
+
+    def file(name, env):
+        raw = name.encode()
+        blob = env if isinstance(env, bytes) else bytes(envelope.serialize(env))
+        return wire(3, struct.pack(">H", len(raw)) + raw + blob)
+
+    def session(*frames):
+        def call(m):
+            m.MAX_FRAME = transfer.MAX_FRAME  # the frame cases lower it
+            peer = Peer(b"".join(frames))
+            with tempfile.TemporaryDirectory() as out:
+                receiver = types.SimpleNamespace(
+                    _recipient_priv=priv, _lookup=table.get, _out_dir=Path(out)
+                )
+                m.TransferServer._session(receiver, peer)
+                written = {p.name: p.read_bytes() for p in Path(out).iterdir()}
+            return bytes(peer.replies), written
+        return call
+
+    def received(data, name):
+        return wire(2) + wire(4, b"\x00" + rsa.sha256(data)), {name: data}
+
+    hello = wire(1, b"hciv1")
+    first, second = b"from the first sender", b"from the second"
+    env = envelope.seal(first, pub, spriv, spub, rng, 2)
+    return [
+        (session(hello, file("a.txt", env)), received(first, "a.txt")),
+        (session(hello, file("b", envelope.seal(second, pub, opriv, opub, rng, 1))),
+         received(second, "b")),
+        (session(hello, file("empty", envelope.seal(b"", pub, spriv, spub, rng, 6))),
+         received(b"", "empty")),
+        (session(file("a.txt", env)), Raises(ProtocolError, "expected HELLO, got kind 3")),
+        (session(wire(1, b"hciv0"), file("a.txt", env)), Raises(ProtocolError, "version")),
+        (session(hello, hello), Raises(ProtocolError, "expected FILE, got kind 1")),
+        (session(hello), Raises(ConnectionClosedError, "connection closed")),
+        (session(hello, file("..", env)),
+         Raises(ProtocolError, "filename must not contain path separators")),
+        (session(hello, file("a.txt", b"HCIE")), Raises(EnvelopeFormatError, "truncated header")),
+        # signed by the receiver's own key, which it does not trust as a sender
+        (session(hello, file("a.txt", envelope.seal(first, pub, priv, pub, rng, 2))),
+         Raises(ProtocolError, "unknown sender")),
+        # sealed to the second sender instead of the receiver
+        (session(hello, file("a.txt", envelope.seal(first, opub, spriv, spub, rng, 2))),
+         Raises(DecapsulationError, "decapsulation failed")),
+        # the second sender's fingerprint on the first sender's signature
+        (session(hello, file("a.txt", dataclasses.replace(
+            env, sender_fingerprint=rsa.fingerprint(opub)))),
+         Raises(SignatureError, "signature verification failed")),
+    ]
 
 
 def envelope_cases(pairs):
     """A sealed envelope cut at every byte, and with one bad field each."""
-    (pub, _), (spub, spriv) = pairs
+    (pub, _), (spub, spriv), _ = pairs
     env = envelope.seal(b"hostile", pub, spriv, spub, random.Random("mutants:env"), 1)
     data = bytes(envelope.serialize(env))
     k = pub.byte_length()
@@ -399,6 +498,68 @@ def envelope_cases(pairs):
         (parse(data[:5] + b"\x00" + data[6:]), bad("dim_log2 0 out of range")),
         (parse(data[:5] + b"\x07" + data[6:]), bad("dim_log2 7 out of range")),
     ]
+    return cases + open_cases(pairs) + field_cases()
+
+
+def open_cases(pairs):
+    """A sealed envelope, opened whole and with one check failing each."""
+    (pub, priv), (spub, spriv), (opub, opriv) = pairs
+    rng = random.Random("mutants:open")
+    data = b"opened only whole"
+    env = envelope.seal(data, pub, spriv, spub, rng, 1)
+    # one 2-byte block that decrypts to b"a\x00": no padding is 0 bytes long
+    key = hill.derive_key(rsa.decrypt_seed(priv, env.encapsulated_seed), 1)
+    bad_pad = bytes(hill.encrypt_stream(key, b"a\x00")[:2])
+
+    def opened(env, recipient=priv, sender=spub):
+        return lambda m: m.open_envelope(env, recipient, sender)
+
+    def changed(**fields):
+        return dataclasses.replace(env, **fields)
+
+    forged = Raises(SignatureError, "signature verification failed")
+    return [
+        (opened(env), data),
+        (opened(envelope.seal(b"", pub, spriv, spub, rng, 6)), b""),
+        (opened(env, opriv), Raises(DecapsulationError, "decapsulation failed")),
+        (opened(changed(signature=envelope.seal(b"x", pub, spriv, spub, rng, 1).signature)),
+         forged),
+        (opened(env, sender=opub), forged),
+        (opened(changed(plaintext_len=len(data) - 1)),
+         Raises(PlaintextLengthError, f"recovered {len(data)} bytes, envelope records 16")),
+        (opened(changed(ciphertext=bad_pad, plaintext_len=1)),
+         Raises(PaddingError, "invalid padding")),
+        (opened(changed(sender_fingerprint=rsa.fingerprint(opub))),
+         Raises(FingerprintMismatchError, "sender fingerprint mismatch")),
+    ]
+
+
+def field_cases():
+    """Envelopes built from their fields, each field at and past its bounds."""
+
+    def case(dim_log2, plaintext_len, ct_len, error=None, fingerprint=bytes(32)):
+        fields = (dim_log2, fingerprint, b"seed", b"sig", plaintext_len, bytes(ct_len))
+        return lambda m: m.Envelope(*fields), error or fields
+
+    wrong_length = Raises(
+        EnvelopeFormatError, "ciphertext length is not the padded plaintext length"
+    )
+    cases = []
+    for dim_log2 in (1, 6):
+        n = 1 << dim_log2
+        for length in (0, n - 1, n, 2 * n + 1):
+            padded = (length // n + 1) * n
+            cases.append(case(dim_log2, length, padded))
+            cases.append(case(dim_log2, length, padded - n, wrong_length))
+            cases.append(case(dim_log2, length, padded + n, wrong_length))
+    # ciphertexts padded right for their block size, so only the range refuses them
+    for dim_log2, ct_len in ((0, 4), (7, 128)):
+        out_of_range = Raises(EnvelopeFormatError, f"dim_log2 {dim_log2} out of range")
+        cases.append(case(dim_log2, 3, ct_len, out_of_range))
+    for width in (31, 33):
+        short_or_long = Raises(EnvelopeFormatError, "sender fingerprint must be 32 bytes")
+        cases.append(case(1, 3, 4, short_or_long, bytes(width)))
+    cases.append(case(1, -1, 0, wrong_length))  # -1 pads to 0 bytes
     return cases
 
 
@@ -410,10 +571,13 @@ TARGETS = {
     "rsa": (rsa, ("decrypt_v15", "decrypt_seed"), rsa_cases),
     "transfer": (
         transfer,
-        ("_read_exact", "read_frame", "validate_filename", "decode_file_payload"),
+        ("_read_exact", "read_frame", "validate_filename", "decode_file_payload",
+         "TransferServer._session"),
         transfer_cases,
     ),
-    "envelope": (envelope, ("parse",), envelope_cases),
+    "envelope": (
+        envelope, ("parse", "open_envelope", "Envelope.__post_init__"), envelope_cases
+    ),
 }
 
 
@@ -432,13 +596,15 @@ def check(target, pairs):
 
 
 @pytest.mark.slow
-def test_every_kernel_mutant_is_killed_or_listed_as_equivalent(recipient_pair, sender_pair):
-    check("hill", (recipient_pair, sender_pair))
+def test_every_kernel_mutant_is_killed_or_listed_as_equivalent(
+    recipient_pair, sender_pair, other_pair
+):
+    check("hill", (recipient_pair, sender_pair, other_pair))
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("target", ["rsa", "transfer", "envelope"])
 def test_every_decoder_mutant_is_killed_or_listed_as_equivalent(
-    target, recipient_pair, sender_pair
+    target, recipient_pair, sender_pair, other_pair
 ):
-    check(target, (recipient_pair, sender_pair))
+    check(target, (recipient_pair, sender_pair, other_pair))

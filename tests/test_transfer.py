@@ -190,6 +190,37 @@ def frame_bytes(kind: FrameKind, payload: bytes) -> bytes:
     return struct.pack(">BI", int(kind), len(payload)) + payload
 
 
+def record_thread_starts(patch) -> list:
+    """The threads started from now on, recorded through ``patch``, a
+    monkeypatch or one of its contexts."""
+    start, started = threading.Thread.start, []
+
+    def counted_start(thread):
+        started.append(thread)
+        start(thread)
+
+    patch.setattr(threading.Thread, "start", counted_start)
+    return started
+
+
+def record_server_errors(monkeypatch) -> list:
+    """The exceptions TransferServer.handle_error is given from now on."""
+    errors = []
+    monkeypatch.setattr(
+        transfer.TransferServer, "handle_error",
+        lambda self, conn, addr: errors.append(sys.exc_info()[1]),
+    )
+    return errors
+
+
+def wait_until_idle(srv) -> None:
+    """Wait up to 5 s for a session thread of ``srv`` to go idle."""
+    deadline = time.monotonic() + 5.0
+    while not srv._idle and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert srv._idle
+
+
 def test_shutdown_stops_the_loop_and_closes_the_port(recipient_pair, tmp_path):
     _, priv = recipient_pair
     srv = transfer.TransferServer(0, priv, {}.get, tmp_path, host="127.0.0.1")
@@ -687,6 +718,7 @@ class TestConnectionCap:
         src.write_bytes(b"served by the freed slot")
         out_dir = tmp_path / "incoming"
         out_dir.mkdir()
+        errors = record_server_errors(monkeypatch)
         with running_server(recipient_pair, sender_pair, out_dir) as srv:
             def no_thread(self):
                 raise RuntimeError("can't start new thread")
@@ -698,13 +730,46 @@ class TestConnectionCap:
             ack = transfer.send_file("127.0.0.1", srv.port, src, pub, spriv, spub)
         assert ack.status == 0
         assert (out_dir / "after.bin").read_bytes() == src.read_bytes()
+        # the serving loop reports the failed start and carries on
+        assert [type(exc) for exc in errors] == [RuntimeError]
+
+    def test_exception_escaping_a_session_leaves_its_thread_idle(
+        self, recipient_pair, sender_pair, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(transfer, "MAX_CONNECTIONS", 1)
+        pub, _ = recipient_pair
+        spub, spriv = sender_pair
+        src = tmp_path / "next.bin"
+        src.write_bytes(b"served by the same thread")
+        out_dir = tmp_path / "incoming"
+        out_dir.mkdir()
+        session, raised = transfer.TransferServer._session, []
+
+        def fails_once(self, stream):
+            if not raised:
+                raised.append(True)
+                raise RuntimeError("a bug in the session")
+            return session(self, stream)
+
+        monkeypatch.setattr(transfer.TransferServer, "_session", fails_once)
+        errors = record_server_errors(monkeypatch)
+        with running_server(recipient_pair, sender_pair, out_dir) as srv:
+            started = record_thread_starts(monkeypatch)
+            with socket.create_connection(("127.0.0.1", srv.port), timeout=5.0) as sock:
+                assert sock.recv(1) == b""  # closed with no reply
+            wait_until_idle(srv)
+            ack = transfer.send_file("127.0.0.1", srv.port, src, pub, spriv, spub)
+        assert ack.status == 0
+        assert (out_dir / "next.bin").read_bytes() == src.read_bytes()
+        assert len(started) == 1
+        assert [str(exc) for exc in errors] == ["a bug in the session"]
 
     def test_interrupt_in_thread_start_keeps_the_slot_count(
         self, recipient_pair, sender_pair, tmp_path, monkeypatch
     ):
         # a SIGINT can land in Thread.start() after the session has already
-        # ended and released its own slot; the interrupt must reach the
-        # serving loop, and the slot must not be released a second time
+        # ended and its thread gone idle; the interrupt must reach the
+        # serving loop, and the started thread must stay the server's one
         monkeypatch.setattr(transfer, "MAX_CONNECTIONS", 1)
         pub, priv = recipient_pair
         spub, spriv = sender_pair
@@ -717,9 +782,7 @@ class TestConnectionCap:
 
         def start_then_interrupt(thread):
             start(thread)
-            # the session thread outlives its session; wait for the slot
-            assert srv._slots.acquire(timeout=5)
-            srv._slots.release()
+            wait_until_idle(srv)  # the session thread outlives its session
             raise KeyboardInterrupt
 
         with transfer.TransferServer(0, priv, table.get, out_dir, host="127.0.0.1") as srv:
@@ -731,11 +794,14 @@ class TestConnectionCap:
             loop = threading.Thread(target=srv.serve_forever, daemon=True)
             loop.start()
             try:
-                ack = transfer.send_file("127.0.0.1", srv.port, src, pub, spriv, spub)
+                with monkeypatch.context() as m:
+                    started = record_thread_starts(m)
+                    ack = transfer.send_file("127.0.0.1", srv.port, src, pub, spriv, spub)
             finally:
                 srv.shutdown()
                 loop.join(timeout=5)
         assert ack.status == 0
+        assert started == []  # the idle thread took the send
         assert (out_dir / "later.bin").read_bytes() == src.read_bytes()
 
     def test_an_idle_session_thread_serves_the_next_connection(
@@ -766,13 +832,8 @@ class TestConnectionCap:
     def test_session_threads_never_outnumber_the_cap(
         self, recipient_pair, sender_pair, tmp_path, monkeypatch
     ):
-        # sessions end while new connections arrive; a thread that freed its
-        # slot before going idle would let one of them start a third thread
-        class SlowRelease(threading.BoundedSemaphore):
-            def release(self):
-                super().release()
-                time.sleep(0.005)  # widens any gap after a freed slot
-
+        # sessions end while new connections arrive, with threads switched
+        # as often as the interpreter allows; none of them may start a third
         monkeypatch.setattr(transfer, "MAX_CONNECTIONS", 2)
         out_dir = tmp_path / "incoming"
         out_dir.mkdir()
@@ -780,7 +841,6 @@ class TestConnectionCap:
         sys.setswitchinterval(1e-6)
         try:
             with running_server(recipient_pair, sender_pair, out_dir) as srv:
-                srv._slots = SlowRelease(2)
                 before = set(threading.enumerate())  # the serving loop included
                 for _ in range(50):
                     held = []
