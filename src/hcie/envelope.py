@@ -18,7 +18,11 @@ padding, recorded length, signature, sender fingerprint) must pass first.
 
 :func:`seal` builds the serialized envelope in one ``bytearray``: the Hill
 kernel writes the ciphertext behind room for the header, which is packed
-once the seed is encapsulated and the plaintext signed.  The ciphertext of
+once the seed is encapsulated and the plaintext signed.  For a payload over
+one kernel chunk, on a process that may run on two CPUs, the signature is
+computed on a worker thread while the kernel runs: SHA-256 and numpy's
+ufuncs both release the GIL, so the seal takes about the longer of Hill
+and SHA-256 plus the private operation, not their sum.  The ciphertext of
 a sealed :class:`Envelope` is a read-only ``memoryview`` into that buffer,
 and :func:`serialize` returns the buffer itself, so changing the returned
 bytes changes the envelope.  The ciphertext of a parsed envelope is a
@@ -29,8 +33,10 @@ plaintext as the ``bytearray`` it was decrypted into.
 
 from __future__ import annotations
 
+import os
 import random
 import struct
+import threading
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -88,24 +94,64 @@ def seal(
     after decryption on the receiving side.  The kernel runs first, writing
     behind room for the header: the seed and signature are k bytes each,
     so the header's length is known before either exists.
+
+    A payload over ``hill.CHUNK_BYTES`` is signed on a worker thread while
+    this thread runs the kernel and encapsulates the seed, when the process
+    may run on more than one CPU; the worker is joined before ``seal``
+    returns or raises, and its exception is raised here.  The envelope's
+    bytes and the draws from ``rng`` are the same either way.
     """
     if sender_pub.n != sender.n or sender_pub.e != sender.e:
         raise ValueError("sender_pub does not match the sender private key")
     seed = hill.random_seed(rng)
     key = hill.derive_key(seed, dim_log2)
     header_len = _HEADER.size + 4 + recipient.byte_length() + 4 + sender.byte_length() + 16
-    buf = hill.encrypt_stream(key, plaintext, header_len)
+    if len(plaintext) > hill.CHUNK_BYTES and _cpus() > 1:
+        signed: list = []
+        worker = threading.Thread(
+            target=_sign_into, args=(signed, sender, plaintext), name="hcie-seal-sign"
+        )
+        worker.start()
+        try:
+            buf = hill.encrypt_stream(key, plaintext, header_len)
+            encapsulated = rsa.encrypt_seed(recipient, seed, rng)
+        finally:
+            worker.join()
+        if isinstance(signed[0], BaseException):
+            raise signed[0]
+        signature = signed[0]
+    else:
+        # a thread costs more than it saves on a small payload or one CPU
+        buf = hill.encrypt_stream(key, plaintext, header_len)
+        encapsulated = rsa.encrypt_seed(recipient, seed, rng)
+        signature = rsa.sign(sender, plaintext)
     env = Envelope(
         dim_log2=dim_log2,
         sender_fingerprint=rsa.fingerprint(sender_pub),
-        encapsulated_seed=rsa.encrypt_seed(recipient, seed, rng),
-        signature=rsa.sign(sender, plaintext),
+        encapsulated_seed=encapsulated,
+        signature=signature,
         plaintext_len=len(plaintext),
         ciphertext=memoryview(buf).toreadonly()[header_len:],
     )
     memoryview(buf)[:header_len] = _header(env)  # raises if the lengths disagree
     object.__setattr__(env, "_serialized", buf)
     return env
+
+
+def _sign_into(signed: list, sender: rsa.RsaPrivateKey, plaintext: bytes) -> None:
+    """Append ``rsa.sign(sender, plaintext)``, or the exception it raised, to
+    ``signed``.  A module function rather than a closure in :func:`seal`,
+    so that a seal on the serial path allocates no closure cells."""
+    try:
+        signed.append(rsa.sign(sender, plaintext))
+    except BaseException as exc:
+        signed.append(exc)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def open_envelope(

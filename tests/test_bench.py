@@ -45,6 +45,33 @@ class TestRunBench:
         bench.run_bench([1024], random.Random(42))
         assert first_calls == ["hill_only", "hybrid", "rsa_only"]
 
+    def test_each_leg_is_called_once_untimed_before_its_repetitions(self, monkeypatch):
+        # a process's first Hill call is slower than the rest, so no leg's
+        # first call may be timed; the warm-up's output is discarded
+        calls = {"encrypt_stream": 0, "seal": 0, "_rsa_encrypt_chunks": 0}
+        for module, name in [
+            (bench.hill, "encrypt_stream"),
+            (bench.envelope_mod, "seal"),
+            (bench, "_rsa_encrypt_chunks"),
+        ]:
+            def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        timed_runs, seen = bench._timed_runs, []
+
+        def recorded(encrypt, verify, payload, repetitions):
+            # (hill_only, hybrid, rsa_only) calls so far; seal runs the kernel too
+            seen.append((calls["encrypt_stream"] - calls["seal"], calls["seal"],
+                         calls["_rsa_encrypt_chunks"]))
+            return timed_runs(encrypt, verify, payload, repetitions)
+
+        monkeypatch.setattr(bench, "_timed_runs", recorded)
+        bench.run_bench([1024], random.Random(44))
+        reps = bench.REPETITIONS
+        assert seen == [(1, 0, 0), (1 + reps, 1, 0), (1 + reps, 1 + reps, 1)]
+
     def test_sizes_must_be_measurable(self):
         with pytest.raises(ValueError):
             bench.run_bench([])

@@ -1,10 +1,14 @@
 import dataclasses
+import os
 import random
 import struct
+import sys
+import threading
+import time
 
 import pytest
 
-from hcie import envelope, rsa
+from hcie import envelope, hill, rsa
 from hcie.errors import (
     DecapsulationError,
     EnvelopeFormatError,
@@ -13,6 +17,7 @@ from hcie.errors import (
     OpenError,
     PaddingError,
     PlaintextLengthError,
+    RsaFaultError,
     SignatureError,
 )
 
@@ -279,3 +284,166 @@ class TestWireFormat:
         env = make_envelope(recipient_pair, sender_pair, payload=payload)
         reparsed = envelope.parse(envelope.serialize(env))
         assert envelope.open_envelope(reparsed, priv, spub) == payload
+
+
+MIB = 1 << 20
+
+
+def record_thread_starts(monkeypatch) -> list:
+    """The threads started from now on."""
+    start, started = threading.Thread.start, []
+
+    def counted_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    return started
+
+
+def slow_sign(monkeypatch) -> list:
+    """Make ``rsa.sign`` end well after the kernel's pass over 1 MiB, so a
+    seal that does not wait for its worker finds no signature; returns the
+    ids of the threads it is called on."""
+    sign, callers = rsa.sign, []
+
+    def slow(*args):
+        callers.append(threading.get_ident())
+        time.sleep(0.1)
+        return sign(*args)
+
+    monkeypatch.setattr(rsa, "sign", slow)
+    return callers
+
+
+def corrupted_crt(priv):
+    """``priv`` with a flipped bit in dq, so every private operation fails
+    its consistency check."""
+    bad = rsa.RsaPrivateKey(n=priv.n, e=priv.e, d=priv.d, p=priv.p, q=priv.q)
+    dp, dq, q_inv = priv.crt
+    bad.__dict__["crt"] = (dp, dq ^ 2, q_inv)
+    return bad
+
+
+ONE_CPU = {
+    "one-cpu affinity": lambda mp: mp.setattr(
+        os, "sched_getaffinity", lambda pid: {0}, raising=False
+    ),
+    "no affinity call, one cpu": lambda mp: (
+        mp.delattr(os, "sched_getaffinity", raising=False),
+        mp.setattr(os, "cpu_count", lambda: 1),
+    ),
+}
+
+
+class TestSignWorker:
+    """A payload over one kernel chunk is signed on a worker thread while
+    the kernel runs, when the process may use two CPUs; the envelope is
+    the same bytes either way."""
+
+    @staticmethod
+    def sealed(recipient_pair, sender_pair, payload, seed, dim_log2=4):
+        pub, _ = recipient_pair
+        spub, spriv = sender_pair
+        env = envelope.seal(payload, pub, spriv, spub, random.Random(seed), dim_log2)
+        return bytes(envelope.serialize(env))
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def test_large_seal_signs_once_on_another_thread(
+        self, recipient_pair, sender_pair, monkeypatch, two_cpus
+    ):
+        # seal reaches sign through the module attribute, so a wrapper
+        # there (such as a tracer's) sees the call, on the worker thread
+        callers = slow_sign(monkeypatch)
+        payload = random.Random(60).randbytes(MIB)
+        _, priv = recipient_pair
+        spub, _ = sender_pair
+        env = envelope.parse(self.sealed(recipient_pair, sender_pair, payload, 61))
+        assert len(callers) == 1 and callers[0] != threading.get_ident()
+        assert envelope.open_envelope(env, priv, spub) == payload
+
+    @pytest.mark.parametrize(
+        "break_key, error, message",
+        [
+            (corrupted_crt, RsaFaultError,
+             "^private-key operation failed its consistency check$"),
+            (lambda priv: rsa.RsaPrivateKey(n=3233, e=17, d=2753, p=61, q=53), ValueError,
+             "^modulus too small to sign a 256-bit digest$"),
+        ],
+        ids=["corrupted crt", "textbook key"],
+    )
+    def test_worker_exception_reaches_the_caller(
+        self, recipient_pair, sender_pair, monkeypatch, two_cpus, break_key, error, message
+    ):
+        _, spriv = sender_pair
+        bad = break_key(spriv)
+        bad_pair = (rsa.RsaPublicKey(bad.n, bad.e), bad)
+        slow_sign(monkeypatch)
+        baseline = threading.active_count()
+        started = record_thread_starts(monkeypatch)
+        with pytest.raises(error, match=message):
+            self.sealed(recipient_pair, bad_pair, bytes(MIB), 62)
+        assert len(started) == 1
+        assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize("cpus", sorted(ONE_CPU))
+    def test_one_cpu_seals_on_the_calling_thread(
+        self, recipient_pair, sender_pair, monkeypatch, two_cpus, cpus
+    ):
+        payload = random.Random(63).randbytes(MIB)
+        threaded = self.sealed(recipient_pair, sender_pair, payload, 64)
+        ONE_CPU[cpus](monkeypatch)
+        started = record_thread_starts(monkeypatch)
+        assert self.sealed(recipient_pair, sender_pair, payload, 64) == threaded
+        assert started == []
+
+    def test_small_payload_seals_on_the_calling_thread(
+        self, recipient_pair, sender_pair, monkeypatch, two_cpus
+    ):
+        payload = random.Random(65).randbytes(4096)
+        with monkeypatch.context() as mp:
+            started = record_thread_starts(mp)
+            serial = self.sealed(recipient_pair, sender_pair, payload, 66)
+            assert started == []
+        # below one chunk of the kernel, the worker would be used
+        monkeypatch.setattr(hill, "CHUNK_BYTES", 1024)
+        started = record_thread_starts(monkeypatch)
+        assert self.sealed(recipient_pair, sender_pair, payload, 66) == serial
+        assert len(started) == 1
+
+    def test_concurrent_seals_match_serial_ones(
+        self, recipient_pair, sender_pair, monkeypatch, two_cpus
+    ):
+        _, priv = recipient_pair
+        spub, _ = sender_pair
+        payloads = [random.Random(70 + i).randbytes(MIB) for i in range(4)]
+        with monkeypatch.context() as mp:
+            ONE_CPU["one-cpu affinity"](mp)
+            serial = [self.sealed(recipient_pair, sender_pair, p, 80 + i)
+                      for i, p in enumerate(payloads)]
+        barrier = threading.Barrier(len(payloads))
+        sealed = [None] * len(payloads)
+
+        def seal(i):
+            barrier.wait(timeout=30)
+            sealed[i] = self.sealed(recipient_pair, sender_pair, payloads[i], 80 + i)
+
+        # four sealing threads, each with its signing worker, on fewer cores,
+        # switching as often as the interpreter allows
+        threads = [threading.Thread(target=seal, args=(i,)) for i in range(len(payloads))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sealed == serial
+        for blob, payload in zip(sealed, payloads):
+            assert envelope.open_envelope(envelope.parse(blob), priv, spub) == payload
