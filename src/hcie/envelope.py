@@ -19,10 +19,13 @@ padding, recorded length, signature, sender fingerprint) must pass first.
 :func:`seal` builds the serialized envelope in one ``bytearray``: the Hill
 kernel writes the ciphertext behind room for the header, which is packed
 once the seed is encapsulated and the plaintext signed.  For a payload over
-one kernel chunk, on a process that may run on two CPUs, the signature is
-computed on a worker thread while the kernel runs: SHA-256 and numpy's
-ufuncs both release the GIL, so the seal takes about the longer of Hill
-and SHA-256 plus the private operation, not their sum.  The ciphertext of
+three kernel chunks, on a process that may run on two CPUs
+(:func:`_worth_a_thread`), the plaintext is hashed on a worker thread while
+the kernel runs: the signature in :func:`seal`, and in
+:func:`open_envelope` the digest the signature is checked against, fed the
+plaintext chunk by chunk as the kernel decrypts it.  SHA-256 and numpy's
+ufuncs both release the GIL, so the kernel and the hash overlap instead of
+adding up.  The ciphertext of
 a sealed :class:`Envelope` is a read-only ``memoryview`` into that buffer,
 and :func:`serialize` returns the buffer itself, so changing the returned
 bytes changes the envelope.  The ciphertext of a parsed envelope is a
@@ -33,6 +36,7 @@ plaintext as the ``bytearray`` it was decrypted into.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import struct
@@ -52,6 +56,11 @@ MAGIC = b"HCIE"
 VERSION = 1
 
 _HEADER = struct.Struct(">4sBBH32s")
+
+#: A seal or open hashes on a worker thread only for a payload over this
+#: many kernel chunks (768 KiB): below it the thread's start, join and GIL
+#: handoffs cost more than the overlap saves.
+_THREAD_CHUNKS = 3
 
 
 @dataclass(frozen=True)
@@ -95,18 +104,18 @@ def seal(
     behind room for the header: the seed and signature are k bytes each,
     so the header's length is known before either exists.
 
-    A payload over ``hill.CHUNK_BYTES`` is signed on a worker thread while
-    this thread runs the kernel and encapsulates the seed, when the process
-    may run on more than one CPU; the worker is joined before ``seal``
-    returns or raises, and its exception is raised here.  The envelope's
-    bytes and the draws from ``rng`` are the same either way.
+    A payload that :func:`_worth_a_thread` passes is signed on a worker
+    thread while this thread runs the kernel and encapsulates the seed; the
+    worker is joined before ``seal`` returns or raises, and its exception
+    is raised here.  The envelope's bytes and the draws from ``rng`` are
+    the same either way.
     """
     if sender_pub.n != sender.n or sender_pub.e != sender.e:
         raise ValueError("sender_pub does not match the sender private key")
     seed = hill.random_seed(rng)
     key = hill.derive_key(seed, dim_log2)
     header_len = _HEADER.size + 4 + recipient.byte_length() + 4 + sender.byte_length() + 16
-    if len(plaintext) > hill.CHUNK_BYTES and _cpus() > 1:
+    if _worth_a_thread(len(plaintext)):
         signed: list = []
         worker = threading.Thread(
             target=_sign_into, args=(signed, sender, plaintext), name="hcie-seal-sign"
@@ -154,6 +163,13 @@ def _cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
+def _worth_a_thread(size: int) -> bool:
+    """Whether a seal or open of a ``size``-byte payload gains from hashing
+    on a worker thread beside the kernel: the payload spans more than
+    ``_THREAD_CHUNKS`` kernel chunks and the process may run on two CPUs."""
+    return size > _THREAD_CHUNKS * hill.CHUNK_BYTES and _cpus() > 1
+
+
 def open_envelope(
     env: Envelope, recipient: rsa.RsaPrivateKey, sender_pub: rsa.RsaPublicKey
 ) -> bytearray:
@@ -161,15 +177,26 @@ def open_envelope(
 
     Failure causes stay distinguishable by exception type: decapsulation,
     stream padding, recorded-length mismatch, signature, fingerprint.
+
+    For a payload that :func:`_worth_a_thread` passes, a worker thread
+    hashes the plaintext while the kernel decrypts it, and ``rsa.verify``
+    is given the digest; the worker is joined inside ``hill.decrypt_stream``.
+    The checks, their order and their errors are the same either way.
     """
     seed = rsa.decrypt_seed(recipient, env.encapsulated_seed)
     key = hill.derive_key(seed, env.dim_log2)
-    plaintext = hill.decrypt_stream(key, env.ciphertext)
+    if _worth_a_thread(env.plaintext_len):
+        hashed = hashlib.sha256()
+        plaintext = hill.decrypt_stream(key, env.ciphertext, hashed.update)
+        digest = hashed.digest()
+    else:
+        plaintext = hill.decrypt_stream(key, env.ciphertext)
+        digest = None
     if len(plaintext) != env.plaintext_len:
         raise PlaintextLengthError(
             f"recovered {len(plaintext)} bytes, envelope records {env.plaintext_len}"
         )
-    if not rsa.verify(sender_pub, plaintext, env.signature):
+    if not rsa.verify(sender_pub, plaintext, env.signature, digest=digest):
         raise SignatureError("signature verification failed")
     if env.sender_fingerprint != rsa.fingerprint(sender_pub):
         raise FingerprintMismatchError("sender fingerprint mismatch")

@@ -17,11 +17,13 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import queue
 import random
 import secrets
+import threading
 from dataclasses import dataclass
 from functools import cached_property, reduce as _reduce
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -191,10 +193,17 @@ def _shears(f: RingMatrix) -> Tuple[int, int, int, int, int]:
     return p, swapped, q * inv & 0xFF, r * inv & 0xFF, (p * t - q * r) * inv * inv & 0xFF
 
 
-def _apply(factors: Sequence[RingMatrix], blocks: np.ndarray, out: np.ndarray) -> None:
+def _apply(
+    factors: Sequence[RingMatrix],
+    blocks: np.ndarray,
+    out: np.ndarray,
+    done: Optional[Callable] = None,
+) -> None:
     """out[r] = K * row r of ``blocks`` for K the Kronecker product of
     ``factors``; rows of ``out`` past the end of ``blocks`` are transformed
-    in place.
+    in place.  ``done``, if given, is called with the number of rows of
+    ``out`` finished so far each time that grows: after each chunk, or once
+    on the dense path.
 
     A key with a factor that is not 2 x 2 (an ad-hoc key) takes one uint8
     matmul by the dense K.  Otherwise K is applied factor by factor and
@@ -230,6 +239,8 @@ def _apply(factors: Sequence[RingMatrix], blocks: np.ndarray, out: np.ndarray) -
         dense = np.array(_product(factors).rows, dtype=np.uint8).T
         np.matmul(blocks, dense, out=out[: len(blocks)])
         out[len(blocks) :] @= dense
+        if done is not None:
+            done(total)
         return
     *planar, (pivot, swapped, u, l, e) = map(_shears, factors)
     scale = math.prod(p for p, *_ in planar) * pivot & 0xFF
@@ -265,6 +276,8 @@ def _apply(factors: Sequence[RingMatrix], blocks: np.ndarray, out: np.ndarray) -
         # than copying the whole transpose, whose inner loop is one block long
         for k in range(lanes):
             rows[:, k] = planes[k ^ flip]
+        if done is not None:
+            done(lo + len(chunk))
 
 
 def encrypt_stream(key: HillKey, plaintext: bytes, headroom: int = 0) -> bytearray:
@@ -287,9 +300,20 @@ def encrypt_stream(key: HillKey, plaintext: bytes, headroom: int = 0) -> bytearr
     return buf
 
 
-def decrypt_stream(key: HillKey, ciphertext: bytes) -> bytearray:
+def decrypt_stream(
+    key: HillKey, ciphertext: bytes, each: Optional[Callable] = None
+) -> bytearray:
     """Invert :func:`encrypt_stream` on any bytes-like ``ciphertext``, read in
-    place: per-block decrypt into the returned buffer, then unpad."""
+    place: per-block decrypt into the returned buffer, then unpad.
+
+    ``each``, if given, is passed every byte of the returned plaintext
+    exactly once, in order, in pieces: a worker thread passes it read-only
+    views of the kernel's output rows, all but the last, padded one, as
+    each chunk is finished, and this thread passes it the unpadded tail
+    once the worker is joined.  So ``each`` (``hashlib.sha256().update``,
+    say) runs beside the kernel; it must not keep a piece after it
+    returns.  An exception it raises is raised here.
+    """
     n = key.dim
     if len(ciphertext) == 0 or len(ciphertext) % n != 0:
         raise DimensionError(
@@ -298,11 +322,55 @@ def decrypt_stream(key: HillKey, ciphertext: bytes) -> bytearray:
     blocks = np.frombuffer(ciphertext, dtype=np.uint8).reshape(-1, n)
     buf = bytearray(len(ciphertext))
     out = np.frombuffer(buf, dtype=np.uint8).reshape(-1, n)
-    _apply(key.inverse_factors, blocks, out)
+    if each is None:
+        _apply(key.inverse_factors, blocks, out)
+    else:
+        _apply_feeding(key.inverse_factors, blocks, out, each)
     del out  # a bytearray with an exported buffer cannot be resized
     last = unpad(buf[-n:], n)
     del buf[len(buf) - n + len(last) :]
+    if each is not None:
+        each(last)
     return buf
+
+
+def _apply_feeding(
+    factors: Sequence[RingMatrix], blocks: np.ndarray, out: np.ndarray, each: Callable
+) -> None:
+    """:func:`_apply`, with a worker thread passing ``each`` the rows of
+    ``out`` but the last as the kernel finishes them.  The kernel reports
+    its progress on an unbounded queue, so it never waits for ``each``;
+    the worker is joined before this returns or raises, and its exception
+    is raised here."""
+    finished, failed = queue.SimpleQueue(), []
+    n = out.shape[1]
+    rows = memoryview(out).toreadonly().cast("B")[:-n]
+    worker = threading.Thread(
+        target=_feed, args=(finished, rows, n, each, failed), name="hcie-decrypt-each"
+    )
+    worker.start()
+    try:
+        _apply(factors, blocks, out, finished.put)
+    finally:
+        finished.put(None)
+        worker.join()
+    if failed:
+        raise failed[0]
+
+
+def _feed(
+    finished: queue.SimpleQueue, rows: memoryview, n: int, each: Callable, failed: list
+) -> None:
+    """Pass ``each`` the bytes of ``rows`` up to each row count taken from
+    ``finished``, until it yields None; append an exception ``each`` raises
+    to ``failed``."""
+    start = 0
+    try:
+        while (count := finished.get()) is not None:
+            each(rows[start : count * n])
+            start = count * n
+    except BaseException as exc:
+        failed.append(exc)
 
 
 def recover_key_known_plaintext(

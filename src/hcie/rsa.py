@@ -266,11 +266,15 @@ def signed_digest(pub: RsaPublicKey, sig: bytes) -> Optional[bytes]:
     return digest.to_bytes(32, "big") if digest < 1 << 256 else None
 
 
-def verify(pub: RsaPublicKey, message: bytes, sig: bytes) -> bool:
+def verify(
+    pub: RsaPublicKey, message: bytes, sig: bytes, digest: Optional[bytes] = None
+) -> bool:
     """True iff sig^e mod n equals the message digest.  Total over any
-    bytes-like ``sig``: malformed signatures return False, never raise."""
-    digest = signed_digest(pub, sig)
-    return digest is not None and digest == sha256(message)
+    bytes-like ``sig``: malformed signatures return False, never raise.
+    ``digest``, if given, is SHA-256(``message``), which the caller already
+    has; it is then compared instead of hashing ``message`` again."""
+    signed = signed_digest(pub, sig)
+    return signed is not None and signed == (sha256(message) if digest is None else digest)
 
 
 def serialize_key(key: Union[RsaPublicKey, RsaPrivateKey]) -> bytes:

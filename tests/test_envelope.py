@@ -11,6 +11,7 @@ import pytest
 from hcie import envelope, hill, rsa
 from hcie.errors import (
     DecapsulationError,
+    DimensionError,
     EnvelopeFormatError,
     FingerprintMismatchError,
     HcieError,
@@ -447,3 +448,154 @@ class TestSignWorker:
         assert sealed == serial
         for blob, payload in zip(sealed, payloads):
             assert envelope.open_envelope(envelope.parse(blob), priv, spub) == payload
+
+
+class TestHashWorker:
+    """An open of a payload over three kernel chunks hashes the plaintext
+    on a worker thread while the kernel decrypts it, when the process may
+    use two CPUs; it returns the same plaintext, or raises the same error,
+    either way."""
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    @staticmethod
+    def opened(recipient_pair, sender_pair, env):
+        _, priv = recipient_pair
+        spub, _ = sender_pair
+        return envelope.open_envelope(env, priv, spub)
+
+    def test_threaded_and_serial_opens_agree(
+        self, recipient_pair, sender_pair, monkeypatch, two_cpus
+    ):
+        payload = random.Random(90).randbytes(MIB + 5)
+        for dim_log2 in (1, 4):
+            env = make_envelope(recipient_pair, sender_pair, payload, dim_log2=dim_log2)
+            with monkeypatch.context() as mp:
+                started = record_thread_starts(mp)
+                assert self.opened(recipient_pair, sender_pair, env) == payload
+                assert [t.name for t in started] == ["hcie-decrypt-each"]
+            with monkeypatch.context() as mp:
+                ONE_CPU["one-cpu affinity"](mp)
+                started = record_thread_starts(mp)
+                assert self.opened(recipient_pair, sender_pair, env) == payload
+                assert started == []
+
+    def test_verify_is_called_once_with_the_plaintext_and_its_digest(
+        self, recipient_pair, sender_pair, monkeypatch, two_cpus
+    ):
+        # a tracer that wraps rsa.verify reads the plaintext from args[1]
+        verify, calls = rsa.verify, []
+
+        def recording(*args, **kwargs):
+            calls.append((bytes(args[1]), kwargs))
+            return verify(*args, **kwargs)
+
+        monkeypatch.setattr(rsa, "verify", recording)
+        payload = random.Random(91).randbytes(MIB)
+        env = make_envelope(recipient_pair, sender_pair, payload)
+        assert self.opened(recipient_pair, sender_pair, env) == payload
+        assert calls == [(payload, {"digest": rsa.sha256(payload)})]
+
+    @pytest.mark.parametrize(
+        "fault, error, message",
+        [
+            ("padding", PaddingError, "^invalid padding$"),
+            ("length", PlaintextLengthError,
+             f"^recovered {MIB + 5} bytes, envelope records {MIB + 4}$"),
+            ("signature", SignatureError, "^signature verification failed$"),
+            ("fingerprint", FingerprintMismatchError, "^sender fingerprint mismatch$"),
+            ("ragged", DimensionError,
+             f"^ciphertext length {MIB + 15} is not a positive multiple of 16$"),
+        ],
+        ids=["padding", "length", "signature", "fingerprint", "ragged"],
+    )
+    def test_failures_match_the_serial_path(
+        self, recipient_pair, sender_pair, other_pair, monkeypatch, two_cpus,
+        fault, error, message
+    ):
+        _, priv = recipient_pair
+        payload = random.Random(92).randbytes(MIB + 5)
+        env = make_envelope(recipient_pair, sender_pair, payload)
+        if fault == "padding":
+            # the whole payload, one block short, re-encrypted so its last
+            # block decrypts to a byte 0 that no padding ends with
+            key = hill.derive_key(rsa.decrypt_seed(priv, env.encapsulated_seed), 4)
+            body = payload[: MIB] + bytes(16)
+            env = dataclasses.replace(
+                env, ciphertext=hill.encrypt_stream(key, body)[:-16], plaintext_len=MIB + 15
+            )
+        elif fault == "length":
+            env = dataclasses.replace(env, plaintext_len=MIB + 4)
+        elif fault == "signature":
+            env = dataclasses.replace(env, signature=make_envelope(
+                recipient_pair, sender_pair, b"other").signature)
+        elif fault == "fingerprint":
+            env = dataclasses.replace(env, sender_fingerprint=rsa.fingerprint(other_pair[0]))
+        else:
+            # past the field checks, as an envelope built some other way might be
+            object.__setattr__(env, "ciphertext", env.ciphertext[:-1])
+        with monkeypatch.context() as mp:
+            ONE_CPU["one-cpu affinity"](mp)
+            with pytest.raises(error, match=message):
+                self.opened(recipient_pair, sender_pair, env)
+        baseline = threading.active_count()
+        started = record_thread_starts(monkeypatch)
+        with pytest.raises(error, match=message):
+            self.opened(recipient_pair, sender_pair, env)
+        # a ragged ciphertext is refused before any thread starts
+        assert len(started) == (fault != "ragged")
+        assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize("cpus", sorted(ONE_CPU))
+    def test_one_cpu_opens_on_the_calling_thread(
+        self, recipient_pair, sender_pair, monkeypatch, two_cpus, cpus
+    ):
+        payload = random.Random(93).randbytes(MIB)
+        env = make_envelope(recipient_pair, sender_pair, payload)
+        ONE_CPU[cpus](monkeypatch)
+        started = record_thread_starts(monkeypatch)
+        assert self.opened(recipient_pair, sender_pair, env) == payload
+        assert started == []
+
+    def test_small_payload_opens_on_the_calling_thread(
+        self, recipient_pair, sender_pair, monkeypatch, two_cpus
+    ):
+        payload = random.Random(94).randbytes(4096)
+        env = make_envelope(recipient_pair, sender_pair, payload)
+        with monkeypatch.context() as mp:
+            started = record_thread_starts(mp)
+            assert self.opened(recipient_pair, sender_pair, env) == payload
+            assert started == []
+        # with a 1 KiB kernel chunk, the worker would be used
+        monkeypatch.setattr(hill, "CHUNK_BYTES", 1024)
+        started = record_thread_starts(monkeypatch)
+        assert self.opened(recipient_pair, sender_pair, env) == payload
+        assert len(started) == 1
+
+    def test_concurrent_opens(self, recipient_pair, sender_pair, monkeypatch, two_cpus):
+        payloads = [random.Random(95 + i).randbytes(MIB + i) for i in range(4)]
+        envs = [make_envelope(recipient_pair, sender_pair, p, dim_log2=1 + i % 2 * 3)
+                for i, p in enumerate(payloads)]
+        barrier = threading.Barrier(len(envs))
+        opened = [None] * len(envs)
+
+        def open_one(i):
+            barrier.wait(timeout=30)
+            opened[i] = self.opened(recipient_pair, sender_pair, envs[i])
+
+        # four opening threads, each with its hashing worker, on fewer cores,
+        # switching as often as the interpreter allows
+        threads = [threading.Thread(target=open_one, args=(i,)) for i in range(len(envs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert opened == payloads

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import threading
 from functools import reduce
 
 import numpy as np
@@ -389,6 +390,107 @@ class TestKernel:
         key = hill.derive_key(SEED, 6)
         for f, g in zip(key.factors, key.inverse_factors):
             assert ring.mat_mul(f, g, BYTE_RING) == RingMatrix.identity(2)
+
+
+class Recorder:
+    """An ``each`` for :func:`hill.decrypt_stream` that copies every piece it
+    is given, and notes the thread it was called on."""
+
+    def __init__(self):
+        self.pieces, self.threads = [], []
+
+    def __call__(self, piece):
+        self.pieces.append(bytes(piece))
+        self.threads.append(threading.get_ident())
+
+
+class TestFeed:
+    """``decrypt_stream`` with ``each``: a worker thread is passed the rows
+    the kernel has finished, and the caller the unpadded tail."""
+
+    @pytest.mark.parametrize("s", [1, 2, 4, 6])
+    def test_each_gets_every_byte_once_in_order(self, s):
+        rng = random.Random(500 + s)
+        key = hill.derive_key(rng.randbytes(32), s)
+        for length in (0, 1, key.dim - 1, key.dim, *boundary_lengths(key.dim)):
+            payload = rng.randbytes(length)
+            ct = hill.encrypt_stream(key, payload)
+            each = Recorder()
+            assert hill.decrypt_stream(key, ct, each) == payload
+            assert b"".join(each.pieces) == payload
+            # the worker gets views of whole rows, all before the padded one
+            *rows, tail = each.pieces
+            assert all(len(piece) % key.dim == 0 for piece in rows)
+            assert len(tail) == length % key.dim
+            assert each.threads[-1] == threading.get_ident()
+            assert threading.get_ident() not in each.threads[:-1]
+
+    def test_worker_pieces_are_read_only_views_of_finished_chunks(self):
+        key = hill.derive_key(SEED, 4)
+        payload = random.Random(510).randbytes(2 * hill.CHUNK_BYTES + 40)
+        pieces = []
+
+        def each(piece):
+            if isinstance(piece, memoryview):
+                assert piece.readonly
+                pieces.append(len(piece))
+
+        hill.decrypt_stream(key, hill.encrypt_stream(key, payload), each)
+        assert pieces == [hill.CHUNK_BYTES, hill.CHUNK_BYTES, 32]
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_dense_path_reports_once(self, n):
+        rng = random.Random(520 + n)
+        key = HillKey.from_matrix(ring.random_invertible(n, BYTE_RING, rng))
+        payload = rng.randbytes(hill.CHUNK_BYTES + 7)
+        each = Recorder()
+        assert hill.decrypt_stream(key, hill.encrypt_stream(key, payload), each) == payload
+        assert len(each.pieces) == 2 and b"".join(each.pieces) == payload
+
+    def test_raising_each_is_raised_on_the_caller(self):
+        key = hill.derive_key(SEED, 2)
+        ct = hill.encrypt_stream(key, bytes(3 * hill.CHUNK_BYTES))
+        calls = []
+
+        def each(piece):
+            calls.append(threading.get_ident())
+            raise LookupError("each failed")
+
+        baseline = threading.active_count()
+        with pytest.raises(LookupError, match="^each failed$"):
+            hill.decrypt_stream(key, ct, each)
+        assert len(calls) == 1 and calls[0] != threading.get_ident()
+        assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize(
+        "ciphertext, error, message",
+        [
+            (bytes(2 * hill.CHUNK_BYTES + 3), DimensionError,
+             f"^ciphertext length {2 * hill.CHUNK_BYTES + 3} is not a positive multiple of 4$"),
+            (bytes(2 * hill.CHUNK_BYTES), PaddingError, "^invalid padding$"),
+        ],
+        ids=["ragged", "bad padding"],
+    )
+    def test_failures_match_the_plain_path(self, ciphertext, error, message):
+        key = identity_key(4)
+        with pytest.raises(error, match=message):
+            hill.decrypt_stream(key, ciphertext)
+        baseline = threading.active_count()
+        each = Recorder()
+        with pytest.raises(error, match=message):
+            hill.decrypt_stream(key, ciphertext, each)
+        assert threading.active_count() == baseline
+        # a ragged ciphertext is refused before the kernel starts, a bad
+        # padding only once it has run
+        assert b"".join(each.pieces) == (b"" if error is DimensionError else ciphertext[:-4])
+
+    def test_no_each_starts_no_thread(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t))
+        key = hill.derive_key(SEED, 4)
+        payload = bytes(2 * hill.CHUNK_BYTES)
+        assert hill.decrypt_stream(key, hill.encrypt_stream(key, payload)) == payload
+        assert started == []
 
 
 #: SHA-256 of serialize(seal(...)) for a 300,001-byte payload, computed with

@@ -210,6 +210,7 @@ def hill_cases(pairs):
         ct = dense(key.forward, hill.pad(data, key.dim))
         cases.append((lambda m, key=key, data=data: m.encrypt_stream(key, data), ct))
         cases.append((lambda m, key=key, ct=ct: m.decrypt_stream(key, ct), data))
+        cases.append((lambda m, key=key, ct=ct: fed(m, key, ct), (data, data)))
 
     key, data = keys[1], b"headroom"
     cases.append((lambda m: m.encrypt_stream(key, data, 3),
@@ -252,8 +253,24 @@ def hill_cases(pairs):
          Raises(DimensionError, "ciphertext length 6 is not a positive multiple of 4")),
         (call("decrypt_stream", identity_key(4), bytes(4)), invalid),
         (call("decrypt_stream", identity_key(4), b"abcd" + bytes(3) + b"\x09"), invalid),
+        (lambda m: fed(m, identity_key(4), bytes(6)),
+         Raises(DimensionError, "ciphertext length 6 is not a positive multiple of 4")),
+        (lambda m: fed(m, identity_key(4), b"abcd" + bytes(3) + b"\x09"), invalid),
+        (call("decrypt_stream", keys[0], dense(keys[0].forward, hill.pad(data, 2)), refuse),
+         Raises(LookupError, "refused")),
     ]
     return cases
+
+
+def fed(module, key, ct):
+    """``decrypt_stream`` on the path that passes each plaintext byte to a
+    callback, with the bytes the callback was given."""
+    pieces = bytearray()
+    return module.decrypt_stream(key, ct, pieces.extend), pieces
+
+
+def refuse(piece):
+    raise LookupError("refused")
 
 
 def rsa_cases(pairs):
@@ -512,13 +529,20 @@ def open_cases(pairs):
     bad_pad = bytes(hill.encrypt_stream(key, b"a\x00")[:2])
 
     def opened(env, recipient=priv, sender=spub):
-        return lambda m: m.open_envelope(env, recipient, sender)
+        return env, recipient, sender
+
+    def on_path(args, threaded):
+        def call(m):
+            # two CPUs and no size floor put every open on the threaded path
+            m._THREAD_CHUNKS, m._cpus = 0, (lambda: 2) if threaded else (lambda: 1)
+            return m.open_envelope(*args)
+        return call
 
     def changed(**fields):
         return dataclasses.replace(env, **fields)
 
     forged = Raises(SignatureError, "signature verification failed")
-    return [
+    opens = [
         (opened(env), data),
         (opened(envelope.seal(b"", pub, spriv, spub, rng, 6)), b""),
         (opened(env, opriv), Raises(DecapsulationError, "decapsulation failed")),
@@ -531,6 +555,29 @@ def open_cases(pairs):
          Raises(PaddingError, "invalid padding")),
         (opened(changed(sender_fingerprint=rsa.fingerprint(opub))),
          Raises(FingerprintMismatchError, "sender fingerprint mismatch")),
+    ]
+    return [(on_path(args, threaded), expected)
+            for threaded in (False, True) for args, expected in opens] + thread_rule_cases()
+
+
+def thread_rule_cases():
+    """Payload sizes around the floor of the worker thread, on one and on
+    two CPUs."""
+
+    chunks = envelope._THREAD_CHUNKS
+
+    def worth(size, cpus):
+        def call(m):
+            m._THREAD_CHUNKS, m._cpus = chunks, lambda: cpus
+            return m._worth_a_thread(size)
+        return call
+
+    floor = chunks * hill.CHUNK_BYTES
+    return [
+        (worth(floor, 2), False),
+        (worth(floor + 1, 2), True),
+        (worth(floor + 1, 1), False),
+        (worth(4 * floor, 3), True),
     ]
 
 
@@ -566,7 +613,10 @@ def field_cases():
 #: Each module, the functions of it that are mutated and its cases.
 TARGETS = {
     "hill": (
-        hill, ("pad", "unpad", "_shears", "_apply", "encrypt_stream", "decrypt_stream"), hill_cases
+        hill,
+        ("pad", "unpad", "_shears", "_apply", "encrypt_stream", "decrypt_stream",
+         "_apply_feeding", "_feed"),
+        hill_cases,
     ),
     "rsa": (rsa, ("decrypt_v15", "decrypt_seed"), rsa_cases),
     "transfer": (
@@ -576,7 +626,9 @@ TARGETS = {
         transfer_cases,
     ),
     "envelope": (
-        envelope, ("parse", "open_envelope", "Envelope.__post_init__"), envelope_cases
+        envelope,
+        ("parse", "open_envelope", "_worth_a_thread", "Envelope.__post_init__"),
+        envelope_cases,
     ),
 }
 

@@ -273,6 +273,16 @@ class TestSignatures:
         assert rsa.verify(pub, msg, bytearray(sig))
         assert rsa.verify(pub, msg, memoryview(b"xx" + sig)[2:])
 
+    def test_verify_compares_a_given_digest_instead_of_hashing(self, sender_pair, monkeypatch):
+        pub, priv = sender_pair
+        msg = b"hashed elsewhere"
+        sig = rsa.sign(priv, msg)
+        digest = rsa.sha256(msg)
+        monkeypatch.setattr(rsa, "sha256", lambda data: pytest.fail("hashed again"))
+        assert rsa.verify(pub, msg, sig, digest=digest)
+        assert not rsa.verify(pub, msg, sig, digest=bytes(32))
+        assert not rsa.verify(pub, msg, bytes(pub.byte_length()), digest=digest)
+
     def test_sign_needs_room_for_digest(self, textbook_priv):
         with pytest.raises(ValueError):
             rsa.sign(textbook_priv, b"too small")
